@@ -62,16 +62,10 @@ type Stats = core.Stats
 // ExecutorOption tunes an Executor at construction time.
 type ExecutorOption = core.Option
 
-// WithPipeline enables (default) or disables the software pipeline that
-// overlaps packing of the next CB block with compute of the current one and
-// reuses packed panels shared between scheduled blocks. Disable it to get
-// the strictly synchronous pack→compute executor.
-func WithPipeline(on bool) ExecutorOption { return core.WithPipeline(on) }
-
 // WithPanelCache keeps up to slots packed panels per operand resident, so a
 // schedule that revisits a panel (the K-first snake does, on every M or N
-// step) skips the repack. Implies pipelining; slots below 2 are raised to
-// the double-buffering minimum.
+// step) skips the repack. Slots below 2 are raised to the double-buffering
+// minimum.
 func WithPanelCache(slots int) ExecutorOption { return core.WithPanelCache(slots) }
 
 // TraceRecorder collects per-worker pack/compute/unpack spans from a traced
@@ -279,6 +273,11 @@ var (
 	// ErrExecutorInUse: concurrent Gemm on a single-flight Executor — lease
 	// executors through an Engine instead.
 	ErrExecutorInUse = core.ErrInUse
+	// ErrInvalidOperand: an operand view is malformed (Stride < Cols, Data
+	// too short for Rows, Cols and Stride) or the dimensions do not compose.
+	ErrInvalidOperand = core.ErrInvalidOperand
+	// ErrAliasedOutput: C's referenced elements overlap A's or B's.
+	ErrAliasedOutput = core.ErrAliasedOutput
 )
 
 // Resident-operand store sentinel errors (EngineRegisterB and friends).

@@ -29,7 +29,7 @@ func TestRunGemmWritesJSON(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	for _, want := range []string{"sync", "pipelined", "pipelined+cache", "skewed-small-M", "vs sync"} {
+	for _, want := range []string{"pipelined", "pipelined+cache", "skewed-small-M", "overlap"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("gemm table missing %q in %q", want, out)
 		}
@@ -38,7 +38,7 @@ func TestRunGemmWritesJSON(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{`"gflops"`, `"pack_share"`, `"reused_a_elems"`, `"speedup_vs_sync"`} {
+	for _, want := range []string{`"gflops"`, `"pack_share"`, `"reused_a_elems"`, `"overlap_nanos"`} {
 		if !strings.Contains(string(data), want) {
 			t.Fatalf("BENCH_gemm.json missing %s", want)
 		}

@@ -9,10 +9,15 @@ import (
 	"repro/internal/matrix"
 )
 
-func batchTestExec(t *testing.T, pipeline bool) *Executor[float64] {
+// batchTestExec returns a two-core executor, or with lookahead off a
+// one-core one, whose one-worker pool packs each block just in time.
+func batchTestExec(t *testing.T, lookahead bool) *Executor[float64] {
 	t.Helper()
 	cfg := Config{Cores: 2, MC: 16, KC: 16, Alpha: 1, MR: 8, NR: 8, Order: OrderAuto}
-	e, err := NewExecutor[float64](cfg, nil, WithPipeline(pipeline))
+	if !lookahead {
+		cfg.Cores = 1
+	}
+	e, err := NewExecutor[float64](cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -21,12 +26,12 @@ func batchTestExec(t *testing.T, pipeline bool) *Executor[float64] {
 }
 
 // TestExecutorGemmBatchBitExact: the executor batch loop must match the
-// sequential GemmScaled loop bit for bit, pipelined and synchronous, with
+// sequential GemmScaled loop bit for bit, with and without lookahead, with
 // shared and distinct operands — including when consecutive calls share A
 // but differ in B's width (the kept A keys must survive a changed grid).
 func TestExecutorGemmBatchBitExact(t *testing.T) {
-	for _, pipeline := range []bool{true, false} {
-		e := batchTestExec(t, pipeline)
+	for _, lookahead := range []bool{true, false} {
+		e := batchTestExec(t, lookahead)
 		rng := rand.New(rand.NewSource(41))
 		sharedA := matrix.New[float64](24, 40)
 		sharedA.Randomize(rng)
@@ -54,7 +59,7 @@ func TestExecutorGemmBatchBitExact(t *testing.T) {
 			t.Fatal(err)
 		}
 		if st.BatchCalls != len(calls) {
-			t.Fatalf("pipeline=%v BatchCalls = %d", pipeline, st.BatchCalls)
+			t.Fatalf("lookahead=%v BatchCalls = %d", lookahead, st.BatchCalls)
 		}
 		for i := range calls {
 			if _, err := e.GemmScaled(cSeq[i], as[i], bs[i], false, false, 1.5, -0.5); err != nil {
@@ -62,12 +67,12 @@ func TestExecutorGemmBatchBitExact(t *testing.T) {
 			}
 			for j := range cBatch[i].Data {
 				if cBatch[i].Data[j] != cSeq[i].Data[j] {
-					t.Fatalf("pipeline=%v call %d elem %d: %v != %v", pipeline, i, j, cBatch[i].Data[j], cSeq[i].Data[j])
+					t.Fatalf("lookahead=%v call %d elem %d: %v != %v", lookahead, i, j, cBatch[i].Data[j], cSeq[i].Data[j])
 				}
 			}
 		}
-		if pipeline && st.ReusedAElems == 0 {
-			t.Fatalf("shared A across pipelined batch calls produced no panel reuse: %+v", st)
+		if st.ReusedAElems == 0 {
+			t.Fatalf("lookahead=%v: shared A across batch calls produced no panel reuse: %+v", lookahead, st)
 		}
 	}
 }

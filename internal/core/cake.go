@@ -21,7 +21,6 @@ type Stats struct {
 	Grid         schedule.Dims  // CB block grid
 	Order        schedule.Order // resolved schedule order
 	Blocks       int            // blocks executed
-	Pipelined    bool           // executed by the double-buffered pipeline
 	PackedAElems int64          // elements packed from A
 	PackedBElems int64          // elements packed from B
 	ReusedAElems int64          // A elements served from an already-packed panel
@@ -50,10 +49,10 @@ type Stats struct {
 }
 
 // Add folds another execution's counters into s — the batch and multi-layer
-// aggregation primitive. Counts and phase times sum; Grid, Order and
-// Pipelined describe the latest run folded in.
+// aggregation primitive. Counts and phase times sum; Grid and Order
+// describe the latest run folded in.
 func (s *Stats) Add(o Stats) {
-	s.Grid, s.Order, s.Pipelined = o.Grid, o.Order, o.Pipelined
+	s.Grid, s.Order = o.Grid, o.Order
 	s.Blocks += o.Blocks
 	s.PackedAElems += o.PackedAElems
 	s.PackedBElems += o.PackedBElems
@@ -96,22 +95,15 @@ func (s Stats) OverlapShare() float64 {
 type Option func(*execOptions)
 
 type execOptions struct {
-	pipeline   bool
 	panelSlots int
+	noReuse    bool
 	rec        *obs.Recorder
 }
 
-// WithPipeline enables or disables the double-buffered pack/compute
-// pipeline (enabled by default). Disabling it restores the strictly
-// synchronous pack → barrier → compute executor — useful as the baseline of
-// an A/B comparison.
-func WithPipeline(on bool) Option { return func(o *execOptions) { o.pipeline = on } }
-
-// WithPanelCache sets how many packed panels per operand the pipelined
-// executor keeps resident (minimum 2, the ping-pong pair). Extra slots form
-// a bounded cache of recently packed panels that the K-first schedule can
-// hit when it revisits an A or B panel on small block grids. Ignored when
-// pipelining is disabled.
+// WithPanelCache sets how many packed panels per operand the executor keeps
+// resident (minimum 2, the ping-pong pair). Extra slots form a bounded cache
+// of recently packed panels that the K-first schedule can hit when it
+// revisits an A or B panel on small block grids.
 func WithPanelCache(slots int) Option {
 	return func(o *execOptions) {
 		if slots > o.panelSlots {
@@ -119,6 +111,12 @@ func WithPanelCache(slots int) Option {
 		}
 	}
 }
+
+// WithoutPanelReuse makes every CB block pack its own A and B panels, as
+// a plain BLIS-style executor does, instead of serving a panel the
+// previous block already packed. It is the baseline of the Section 5.2.1
+// packing-overhead measurement, which panel reuse would understate.
+func WithoutPanelReuse() Option { return func(o *execOptions) { o.noReuse = true } }
 
 // WithTrace attaches a span recorder: every pack/compute/unpack unit and
 // every panel-cache hit is recorded with worker id, block coordinates and
@@ -131,18 +129,18 @@ func WithTrace(rec *obs.Recorder) Option { return func(o *execOptions) { o.rec =
 // pool and packing buffers across calls (the drop-in-library usage of
 // Section 5: one executor per process, many multiplications).
 type Executor[T matrix.Scalar] struct {
-	cfg      Config
-	kern     kernel.Kernel[T]
-	pool     *pool.Pool
-	ownPool  bool
-	pipeline bool
-	slots    int // packing-buffer slots per operand (1 sync, ≥2 pipelined)
-	scratch  []*kernel.Scratch[T]
+	cfg     Config
+	kern    kernel.Kernel[T]
+	pool    *pool.Pool
+	ownPool bool
+	slots   int  // packing-buffer slots per operand (≥2: the ping-pong pair)
+	noReuse bool // WithoutPanelReuse: forget every panel once its block is scheduled
+	scratch []*kernel.Scratch[T]
 
-	// Packing buffers, one ring of slots per operand. The synchronous path
-	// uses slot 0 only; the pipeline ping-pongs across slots and tracks the
-	// logical panel each slot holds so repacks of a revisited panel can be
-	// skipped (keys are per-call, see panelKey).
+	// Packing buffers, one ring of slots per operand. The pipeline
+	// ping-pongs across slots and tracks the logical panel each slot holds
+	// so repacks of a revisited panel can be skipped (keys are per-call, see
+	// panelKey).
 	packA, packB [][]T
 	aKeys, bKeys []panelKey
 	aTick, bTick []int64
@@ -153,17 +151,14 @@ type Executor[T matrix.Scalar] struct {
 
 	// Observability: rec is nil unless WithTrace attached a recorder; the
 	// label contexts are prebuilt per phase so pool jobs are tagged without
-	// per-call allocation. curBlk is the block the synchronous path (and
-	// the pipeline's orchestrator-side C management) is currently running —
-	// async pack spans carry their stage's own coordinates instead.
+	// per-call allocation.
 	rec                          *obs.Recorder
 	met                          *obs.ExecMetrics // phase-latency histograms; refreshed per Gemm, nil when metrics are off
 	elemBytes                    int64
 	packCtx, computeCtx, moveCtx context.Context
-	curBlk                       obs.Block
 
-	// Per-call operand orientation and scaling (set by GemmScaled for the
-	// duration of one multiplication). The executor is single-flight: inUse
+	// Per-call operand orientation and scaling (set by the request path for
+	// the duration of one multiplication). The executor is single-flight: inUse
 	// guards the packing buffers and per-call fields, and a concurrent Gemm
 	// call fails fast with ErrInUse instead of silently corrupting them.
 	// Callers that need concurrency lease one executor per in-flight call
@@ -171,17 +166,17 @@ type Executor[T matrix.Scalar] struct {
 	inUse          atomic.Bool
 	transA, transB bool
 	alpha          T
-	// keepA/keepB let a batch loop (GemmBatchScaled) carry an operand's
-	// panel keys across calls: when set, invalidateSlots preserves that
+	// keepA/keepB let the request path carry an operand's panel keys across
+	// the calls of a batch: when set, invalidateSlots preserves that
 	// operand's keys so panels packed for the previous call are reused. Only
 	// sound when the kept operand (pointer, transpose, and for A the α fold)
-	// is identical to the previous call's — the batch loop enforces that via
-	// pointer equality. Single-call entry points leave both false, restoring
-	// the per-call key scope.
+	// is identical to the previous call's — the request path enforces that
+	// via pointer equality. The first call of every request leaves both
+	// false, restoring the per-call key scope.
 	keepA, keepB bool
 	// resB, when non-nil, feeds the B side of the in-flight call from
-	// pre-packed resident panels instead of packing (see GemmResident); the
-	// fresh-pack entry points leave it nil.
+	// pre-packed resident panels instead of packing (see GemmResident and the
+	// batch shared-B pack); fresh-pack calls leave it nil.
 	resB *ResidentB[T]
 }
 
@@ -199,11 +194,11 @@ func NewExecutor[T matrix.Scalar](cfg Config, p *pool.Pool, opts ...Option) (*Ex
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	o := execOptions{pipeline: true, panelSlots: 2}
+	o := execOptions{panelSlots: 2}
 	for _, opt := range opts {
 		opt(&o)
 	}
-	e := &Executor[T]{cfg: cfg, kern: kernel.Best[T](cfg.MR, cfg.NR), pipeline: o.pipeline}
+	e := &Executor[T]{cfg: cfg, kern: kernel.Best[T](cfg.MR, cfg.NR), slots: o.panelSlots, noReuse: o.noReuse}
 	var zero T
 	e.elemBytes = int64(unsafe.Sizeof(zero))
 	if o.rec != nil {
@@ -211,10 +206,6 @@ func NewExecutor[T matrix.Scalar](cfg Config, p *pool.Pool, opts ...Option) (*Ex
 		e.packCtx = obs.LabelCtx("cake", obs.PhasePack)
 		e.computeCtx = obs.LabelCtx("cake", obs.PhaseCompute)
 		e.moveCtx = obs.LabelCtx("cake", obs.PhaseUnpack)
-	}
-	e.slots = 1
-	if e.pipeline {
-		e.slots = max(2, o.panelSlots)
 	}
 	if p == nil {
 		e.pool = pool.New(cfg.Cores)
@@ -267,127 +258,6 @@ func (e *Executor[T]) span(worker int, ph obs.Phase, blk obs.Block, t0, bytes in
 	if e.met != nil {
 		e.met.ObservePhase(ph, dur)
 	}
-}
-
-// Gemm computes C += A×B using CB blocks and the K-first schedule.
-func (e *Executor[T]) Gemm(c, a, b *matrix.Matrix[T]) (Stats, error) {
-	return e.GemmT(c, a, b, false, false)
-}
-
-// GemmT computes C += op(A)×op(B) where op transposes its operand when the
-// corresponding flag is set: A is stored K×M when transA, B is stored N×K
-// when transB. Transposition happens during packing (the packed panel
-// layout is storage-order oblivious), so there is no extra copy.
-func (e *Executor[T]) GemmT(c, a, b *matrix.Matrix[T], transA, transB bool) (Stats, error) {
-	return e.GemmScaled(c, a, b, transA, transB, 1, 1)
-}
-
-// GemmScaled computes the full BLAS gemm update C = α·op(A)×op(B) + β·C.
-// β scales C once up front (β = 0 clears it without reading); α is folded
-// into the packed A panels, so the hot loops are untouched when α = 1.
-func (e *Executor[T]) GemmScaled(c, a, b *matrix.Matrix[T], transA, transB bool, alpha, beta T) (Stats, error) {
-	m, k := a.Rows, a.Cols
-	if transA {
-		m, k = k, m
-	}
-	kb, n := b.Rows, b.Cols
-	if transB {
-		kb, n = n, kb
-	}
-	if k != kb || c.Rows != m || c.Cols != n {
-		return Stats{}, fmt.Errorf("core: invalid GEMM dims C[%dx%d] = op(A)[%dx%d] x op(B)[%dx%d]",
-			c.Rows, c.Cols, m, k, kb, n)
-	}
-	if !e.inUse.CompareAndSwap(false, true) {
-		return Stats{}, ErrInUse
-	}
-	defer e.inUse.Store(false)
-	e.transA, e.transB, e.alpha = transA, transB, alpha
-	e.resB = nil
-	return e.run(c, a, b, m, k, n, alpha, beta)
-}
-
-// run executes one admitted multiplication. Dimensions are pre-validated and
-// the per-call fields (transposes, α, resB) are set by the entry points;
-// b is nil on the resident path, where e.resB supplies every B panel and no
-// B packing code runs.
-func (e *Executor[T]) run(c, a, b *matrix.Matrix[T], m, k, n int, alpha, beta T) (Stats, error) {
-	if e.rec != nil {
-		// Traced spans double as phase-latency histogram samples when the
-		// metrics registry is live; cache the lookup for the whole call.
-		e.met = obs.MetricsFor("cake")
-	}
-
-	if beta != 1 {
-		chunks := min(e.cfg.Cores, max(1, m))
-		e.pool.ForStatic(chunks, func(_, s int) {
-			r0, rows := chunkSpan(s, chunks, m)
-			cv := c.View(r0, 0, rows, n)
-			if beta == 0 {
-				cv.Zero()
-			} else {
-				cv.Scale(beta)
-			}
-		})
-	}
-	if alpha == 0 {
-		return Stats{}, nil
-	}
-
-	order := e.cfg.Order
-	if order == OrderAuto {
-		order = schedule.OrderFor(m, n)
-	}
-	grid := e.cfg.GridFor(m, k, n)
-	seq := schedule.KFirst(grid, order)
-	e.grow(m, k, n)
-
-	st := Stats{Grid: grid, Order: order, Blocks: len(seq), Pipelined: e.pipeline}
-	if e.pipeline {
-		e.runPipelined(c, a, b, seq, &st, m, k, n)
-		e.accountGemm(st)
-		return st, nil
-	}
-	bm, bk, bn := e.cfg.BlockDims()
-	for i, cur := range seq {
-		e.curBlk = obs.Block{M: int32(cur.M), K: int32(cur.K), N: int32(cur.N)}
-		m0, mEff := span(cur.M, bm, m)
-		k0, kEff := span(cur.K, bk, k)
-		n0, nEff := span(cur.N, bn, n)
-		runStart := i == 0 || seq[i-1].M != cur.M || seq[i-1].N != cur.N
-		runEnd := i == len(seq)-1 || seq[i+1].M != cur.M || seq[i+1].N != cur.N
-
-		cBlock := matrix.FromSlice(mEff, nEff, e.bufC[:mEff*nEff])
-		if runStart {
-			t0 := time.Now()
-			e.zeroBlock(cBlock)
-			st.PackNanos += time.Since(t0).Nanoseconds()
-		}
-		switch e.cfg.Dim {
-		case DimN:
-			e.blockDimN(a, b, cBlock, &st, m0, mEff, k0, kEff, n0, nEff)
-		case DimM:
-			e.blockDimM(a, b, cBlock, &st, m0, mEff, k0, kEff, n0, nEff)
-		default:
-			e.blockDimK(a, b, cBlock, &st, m0, mEff, k0, kEff, n0, nEff)
-		}
-		st.PackedAElems += int64(mEff) * int64(kEff)
-		bElems := int64(kEff) * int64(nEff)
-		if e.resB != nil {
-			st.ResidentBElems += bElems
-			e.reuseEvent(e.curBlk, bElems)
-		} else {
-			st.PackedBElems += bElems
-		}
-		if runEnd {
-			t0 := time.Now()
-			e.unpack(c.View(m0, n0, mEff, nEff), cBlock)
-			st.PackNanos += time.Since(t0).Nanoseconds()
-			st.UnpackCElems += int64(mEff) * int64(nEff)
-		}
-	}
-	e.accountGemm(st)
-	return st, nil
 }
 
 // accountGemm folds one finished GEMM into the global obs metrics registry
@@ -510,13 +380,13 @@ func (e *Executor[T]) zeroBlock(cBlock *matrix.Matrix[T]) {
 // unpack folds the completed block result into the output matrix — a
 // read-modify-write of the DRAM-resident C region, recorded as unpack
 // spans carrying 2× the chunk's bytes.
-func (e *Executor[T]) unpack(dst, cBlock *matrix.Matrix[T]) {
+func (e *Executor[T]) unpack(dst, cBlock *matrix.Matrix[T], blk obs.Block) {
 	chunks := e.rowChunks(cBlock.Rows)
 	e.pool.ForStaticLabeled(e.moveCtx, chunks, func(core, s int) {
 		u0 := e.now()
 		r0, rows := chunkSpan(s, chunks, cBlock.Rows)
 		packing.AddInto(dst.View(r0, 0, rows, dst.Cols), cBlock.View(r0, 0, rows, cBlock.Cols))
-		e.span(core, obs.PhaseUnpack, e.curBlk, u0, 2*int64(rows)*int64(cBlock.Cols)*e.elemBytes)
+		e.span(core, obs.PhaseUnpack, blk, u0, 2*int64(rows)*int64(cBlock.Cols)*e.elemBytes)
 	})
 }
 
@@ -533,168 +403,6 @@ func chunkSpan(idx, chunks, rows int) (off, cnt int) {
 		cnt++
 	}
 	return
-}
-
-// blockDimN executes one CB block with cores advancing along N (Figure 6):
-// core s owns the A strip of rows [s·mc, (s+1)·mc), the packed B panel is
-// shared, and each core computes its strip of the resident C block.
-func (e *Executor[T]) blockDimN(a, b, cBlock *matrix.Matrix[T], st *Stats, m0, mEff, k0, kEff, n0, nEff int) {
-	mc := e.cfg.MC
-	strips := ceilDiv(mEff, mc)
-
-	// Pack per-core A sub-blocks in parallel; strip s's panels start at
-	// s·mc·kEff because mc is a multiple of mr.
-	t0 := time.Now()
-	e.pool.ForStaticLabeled(e.packCtx, strips, func(core, s int) {
-		u0 := e.now()
-		r0 := s * mc
-		rows := min(mc, mEff-r0)
-		e.packASlice(e.packA[0][r0*kEff:], a, m0+r0, rows, k0, kEff)
-		e.span(core, obs.PhasePack, e.curBlk, u0, int64(rows)*int64(kEff)*e.elemBytes)
-	})
-	bp := e.residentCell(e.curBlk)
-	if bp == nil {
-		e.packBShared(b, k0, kEff, n0, nEff)
-		bp = e.packB[0]
-	}
-	st.PackNanos += time.Since(t0).Nanoseconds()
-
-	t0 = time.Now()
-	bp = bp[:packing.PackedBSize(kEff, nEff, e.cfg.NR)]
-	e.pool.ForStaticLabeled(e.computeCtx, strips, func(core, s int) {
-		u0 := e.now()
-		r0 := s * mc
-		rows := min(mc, mEff-r0)
-		ap := e.packA[0][r0*kEff : r0*kEff+packing.PackedASize(rows, kEff, e.cfg.MR)]
-		packing.Macro(e.kern, kEff, ap, bp, cBlock.View(r0, 0, rows, nEff), e.scratch[core])
-		e.span(core, obs.PhaseCompute, e.curBlk, u0, 0)
-	})
-	st.ComputeNanos += time.Since(t0).Nanoseconds()
-}
-
-// blockDimM is the mirror: core s owns the B strip of columns
-// [s·mc, (s+1)·mc), the packed A panel is shared, and each core computes
-// its column strip of the resident C block.
-func (e *Executor[T]) blockDimM(a, b, cBlock *matrix.Matrix[T], st *Stats, m0, mEff, k0, kEff, n0, nEff int) {
-	nc := e.cfg.MC // square per-core block: nc = mc
-	strips := ceilDiv(nEff, nc)
-
-	t0 := time.Now()
-	e.packAShared(a, m0, mEff, k0, kEff)
-	bSrc := e.residentCell(e.curBlk)
-	if bSrc == nil {
-		e.pool.ForStaticLabeled(e.packCtx, strips, func(core, s int) {
-			u0 := e.now()
-			c0 := s * nc
-			cols := min(nc, nEff-c0)
-			e.packBSlice(e.packB[0][c0*kEff:], b, k0, kEff, n0+c0, cols)
-			e.span(core, obs.PhasePack, e.curBlk, u0, int64(kEff)*int64(cols)*e.elemBytes)
-		})
-		bSrc = e.packB[0]
-	}
-	st.PackNanos += time.Since(t0).Nanoseconds()
-
-	t0 = time.Now()
-	ap := e.packA[0][:packing.PackedASize(mEff, kEff, e.cfg.MR)]
-	e.pool.ForStaticLabeled(e.computeCtx, strips, func(core, s int) {
-		u0 := e.now()
-		c0 := s * nc
-		cols := min(nc, nEff-c0)
-		bp := bSrc[c0*kEff : c0*kEff+packing.PackedBSize(kEff, cols, e.cfg.NR)]
-		packing.Macro(e.kern, kEff, ap, bp, cBlock.View(0, c0, mEff, cols), e.scratch[core])
-		e.span(core, obs.PhaseCompute, e.curBlk, u0, 0)
-	})
-	st.ComputeNanos += time.Since(t0).Nanoseconds()
-}
-
-// blockDimK partitions the block's reduction depth: core s multiplies the
-// kc-deep slice [s·kc, (s+1)·kc) into a private partial-C surface; the
-// partials are then summed into the resident block in parallel row chunks —
-// the in-place local accumulation the paper highlights for the K variant.
-func (e *Executor[T]) blockDimK(a, b, cBlock *matrix.Matrix[T], st *Stats, m0, mEff, k0, kEff, n0, nEff int) {
-	kc := e.cfg.KC
-	strips := ceilDiv(kEff, kc)
-	aSlice := packing.PackedASize(mEff, kc, e.cfg.MR)
-	bSlice := packing.PackedBSize(kc, nEff, e.cfg.NR)
-
-	t0 := time.Now()
-	rbp := e.residentCell(e.curBlk)
-	e.pool.ForStaticLabeled(e.computeCtx, strips, func(core, s int) {
-		u0 := e.now()
-		kk0 := s * kc
-		depth := min(kc, kEff-kk0)
-		ap := e.packASlice(e.packA[0][s*aSlice:], a, m0, mEff, k0+kk0, depth)
-		var bp []T
-		packed := int64(mEff) * int64(depth)
-		if rbp != nil {
-			bp = rbp[s*bSlice : s*bSlice+packing.PackedBSize(depth, nEff, e.cfg.NR)]
-		} else {
-			bp = e.packBSlice(e.packB[0][s*bSlice:], b, k0+kk0, depth, n0, nEff)
-			packed += int64(nEff) * int64(depth)
-		}
-		e.span(core, obs.PhasePack, e.curBlk, u0, packed*e.elemBytes)
-		u0 = e.now()
-		part := matrix.FromSlice(mEff, nEff, e.partials[core][:mEff*nEff])
-		part.Zero()
-		packing.Macro(e.kern, depth, ap, bp, part, e.scratch[core])
-		e.span(core, obs.PhaseCompute, e.curBlk, u0, 0)
-	})
-	st.ComputeNanos += time.Since(t0).Nanoseconds()
-
-	// Reduce private partials into the resident C block. ForStatic maps
-	// strip s to core s (strips <= cores), so partials[s] holds slice s.
-	t0 = time.Now()
-	chunks := e.rowChunks(mEff)
-	e.pool.ForStatic(chunks, func(_, ch int) {
-		r0, rows := chunkSpan(ch, chunks, mEff)
-		for s := 0; s < strips; s++ {
-			src := matrix.FromSlice(mEff, nEff, e.partials[s][:mEff*nEff])
-			packing.AddInto(cBlock.View(r0, 0, rows, nEff), src.View(r0, 0, rows, nEff))
-		}
-	})
-	st.PackNanos += time.Since(t0).Nanoseconds()
-}
-
-// packBShared packs the block's kEff×nEff B panel, splitting the nr-column
-// panels across cores.
-func (e *Executor[T]) packBShared(b *matrix.Matrix[T], k0, kEff, n0, nEff int) {
-	nr := e.cfg.NR
-	panels := ceilDiv(nEff, nr)
-	chunks := min(e.cfg.Cores, panels)
-	perChunk := ceilDiv(panels, chunks)
-	e.pool.ForStaticLabeled(e.packCtx, chunks, func(core, ch int) {
-		p0 := ch * perChunk
-		pn := min(perChunk, panels-p0)
-		if pn <= 0 {
-			return
-		}
-		u0 := e.now()
-		c0 := p0 * nr
-		cols := min(pn*nr, nEff-c0)
-		e.packBSlice(e.packB[0][c0*kEff:], b, k0, kEff, n0+c0, cols)
-		e.span(core, obs.PhasePack, e.curBlk, u0, int64(kEff)*int64(cols)*e.elemBytes)
-	})
-}
-
-// packAShared packs the block's mEff×kEff A panel, splitting the mr-row
-// panels across cores.
-func (e *Executor[T]) packAShared(a *matrix.Matrix[T], m0, mEff, k0, kEff int) {
-	mr := e.cfg.MR
-	panels := ceilDiv(mEff, mr)
-	chunks := min(e.cfg.Cores, panels)
-	perChunk := ceilDiv(panels, chunks)
-	e.pool.ForStaticLabeled(e.packCtx, chunks, func(core, ch int) {
-		p0 := ch * perChunk
-		pn := min(perChunk, panels-p0)
-		if pn <= 0 {
-			return
-		}
-		u0 := e.now()
-		r0 := p0 * mr
-		rows := min(pn*mr, mEff-r0)
-		e.packASlice(e.packA[0][r0*kEff:], a, m0+r0, rows, k0, kEff)
-		e.span(core, obs.PhasePack, e.curBlk, u0, int64(rows)*int64(kEff)*e.elemBytes)
-	})
 }
 
 // Gemm is the convenience one-shot entry point: plan-free execution of

@@ -1,15 +1,15 @@
-// Pipelined execution: the constant-bandwidth story of Sections 3–4 says
-// compute should fully overlap the memory stream, yet the synchronous
-// executor alternates pack → barrier → compute → barrier, idling cores
-// during packing and the memory system during compute. This file implements
-// a software pipeline over the K-first block schedule: while block i
+// The executor's one CB-block loop: a software pipeline over the K-first
+// block schedule (Algorithm 2). The constant-bandwidth story of Sections 3–4
+// says compute should fully overlap the memory stream, so while block i
 // computes out of one set of packing buffers, the pack job for block i+1 is
 // already running into another set (prologue pack, steady-state overlap,
 // epilogue drain). On top of the ping-pong, each buffer slot remembers which
 // logical panel it holds, so when consecutive blocks share an IO surface —
 // the B panel across an M step, the A panel across an N step, exactly the
 // reuses Algorithm 2's snake traversal engineers — the repack is skipped
-// outright and counted in Stats.ReusedAElems/ReusedBElems.
+// outright and counted in Stats.ReusedAElems/ReusedBElems. On a one-worker
+// pool there is nobody to pack ahead, so the loop packs each block just in
+// time and keeps only the panel reuse.
 package core
 
 import (
@@ -24,7 +24,7 @@ import (
 )
 
 // panelKey identifies the logical sub-panel a packing-buffer slot holds
-// within one GemmScaled call. Operands, transposes and α are fixed for the
+// within one call. Operands, transposes and α are fixed for the
 // duration of a call and every key is invalidated when the next call
 // starts, so block coordinates fully determine packed content.
 type panelKey struct {
@@ -119,12 +119,13 @@ func claimSlot(keys []panelKey, ticks []int64, clock *int64, key panelKey, busy 
 	return victim, false
 }
 
-// submitPack claims buffer slots for blk and enqueues the asynchronous pack
-// job for whichever panels are not already resident. busyA/busyB are the
-// slots of the stage currently computing (-1 for the prologue). The pack
-// work is split into the same per-strip / per-panel-chunk units the
-// synchronous path uses, claimed dynamically so fast workers absorb ragged
-// unit costs.
+// submitPack claims buffer slots for blk and runs the pack job for
+// whichever panels are not already resident: enqueued asynchronously for
+// lookahead, or, when wait is set, to completion before returning (on the
+// caller's goroutine if the pool has one worker). busyA/busyB are the slots
+// of the stage currently computing (-1 when none is). The pack work is split
+// into per-strip / per-panel-chunk units, claimed dynamically so fast
+// workers absorb ragged unit costs.
 //
 // The profiles attribute the pack closure's time here, but the stage header
 // and job closure allocate once per CB block and amortize over the block's
@@ -132,8 +133,12 @@ func claimSlot(keys []panelKey, ticks []int64, clock *int64, key panelKey, busy 
 // per-element work lives in packAUnit/packBUnit and the packing package.
 //
 //cake:hotpath-exempt per-block stage+closure alloc, amortized over block compute
-func (e *Executor[T]) submitPack(a, b *matrix.Matrix[T], blk blockSpan, busyA, busyB int) *pipeStage {
+func (e *Executor[T]) submitPack(a, b *matrix.Matrix[T], blk blockSpan, busyA, busyB int, wait bool) *pipeStage {
 	s := &pipeStage{blk: blk}
+	if e.noReuse {
+		clear(e.aKeys)
+		clear(e.bKeys)
+	}
 	var reusedA, reusedB bool
 	s.aSlot, reusedA = claimSlot(e.aKeys, e.aTick, &e.clock, aKeyFor(blk), busyA)
 	s.packedA = !reusedA
@@ -163,7 +168,7 @@ func (e *Executor[T]) submitPack(a, b *matrix.Matrix[T], blk blockSpan, busyA, b
 	if s.bSlot >= 0 {
 		bBuf = e.packB[s.bSlot]
 	}
-	s.handle = e.pool.SubmitLabeled(e.packCtx, total, func(worker, u int) {
+	unit := func(worker, u int) {
 		u0 := e.now()
 		s.startNs.CompareAndSwap(0, time.Now().UnixNano())
 		var elems int64
@@ -176,7 +181,12 @@ func (e *Executor[T]) submitPack(a, b *matrix.Matrix[T], blk blockSpan, busyA, b
 		if s.pending.Add(-1) == 0 {
 			s.doneNs.Store(time.Now().UnixNano())
 		}
-	})
+	}
+	if wait {
+		e.pool.ForLabeled(e.packCtx, total, unit)
+	} else {
+		s.handle = e.pool.SubmitLabeled(e.packCtx, total, unit)
+	}
 	return s
 }
 
@@ -192,10 +202,8 @@ func (e *Executor[T]) packAUnits(blk blockSpan) int {
 	}
 }
 
-// packAUnit packs unit u of the block's A panel into dst, reproducing the
-// synchronous path's buffer layout exactly (offsets included) so compute is
-// oblivious to which path packed. Returns the elements moved, for span
-// accounting.
+// packAUnit packs unit u of the block's A panel into dst at the offsets
+// computeStage reads. Returns the elements moved, for span accounting.
 func (e *Executor[T]) packAUnit(dst []T, a *matrix.Matrix[T], blk blockSpan, u int) int64 {
 	switch e.cfg.Dim {
 	case DimN:
@@ -271,9 +279,17 @@ func (e *Executor[T]) packBUnit(dst []T, b *matrix.Matrix[T], blk blockSpan, u i
 }
 
 // computeStage runs the block's macro-kernels out of the stage's packed
-// slots. The strip decomposition, core mapping and accumulation order are
-// identical to the synchronous blockDim* functions, so pipelined results
-// are bit-exact matches of synchronous ones.
+// slots (or the resident cells). Per compute dimension:
+//   - DimN (Figure 6): core s owns the A strip of rows [s·mc, (s+1)·mc),
+//     the packed B panel is shared;
+//   - DimM: the mirror, core s owns the B strip of columns [s·mc, (s+1)·mc);
+//   - DimK: core s multiplies the kc-deep slice [s·kc, (s+1)·kc) into a
+//     private partial-C surface, and the partials are summed into the
+//     resident block in parallel row chunks — the in-place local
+//     accumulation the paper highlights for the K variant.
+//
+// The decomposition depends on the block alone, never on which worker ran
+// which pack unit, so results are bit-identical whatever the pool size.
 func (e *Executor[T]) computeStage(s *pipeStage, cBlock *matrix.Matrix[T]) {
 	blk := s.blk
 	aBuf := e.packA[s.aSlot]
@@ -322,9 +338,9 @@ func (e *Executor[T]) computeStage(s *pipeStage, cBlock *matrix.Matrix[T]) {
 			packing.Macro(e.kern, depth, ap, bp, part, e.scratch[core])
 			e.span(core, obs.PhaseCompute, blk.coord, u0, 0)
 		})
-		// Reduce private partials into the resident C block in the same
-		// strip order as the synchronous path (partials[si] holds slice si
-		// because ForStatic pins strip si to core si, strips <= cores).
+		// Reduce private partials into the resident C block in strip order
+		// (partials[si] holds slice si because ForStatic pins strip si to
+		// core si, strips <= cores).
 		chunks := e.rowChunks(blk.mEff)
 		e.pool.ForStatic(chunks, func(_, ch int) {
 			r0, rows := chunkSpan(ch, chunks, blk.mEff)
@@ -336,10 +352,21 @@ func (e *Executor[T]) computeStage(s *pipeStage, cBlock *matrix.Matrix[T]) {
 	}
 }
 
+// packNow packs block i just in time — the prologue, and every block on a
+// one-worker pool, where the pack runs on the caller's goroutine. The
+// caller waits for it, so the pack is charged its wall time.
+func (e *Executor[T]) packNow(a, b *matrix.Matrix[T], seq []schedule.Coord, i, m, k, n int, st *Stats) *pipeStage {
+	t0 := time.Now()
+	s := e.submitPack(a, b, e.spanFor(seq, i, m, k, n), -1, -1, true)
+	e.finishPack(s, st, 0, 0)
+	st.PackNanos += time.Since(t0).Nanoseconds()
+	return s
+}
+
 // finishPack drains a stage's outstanding pack job and accounts its
 // pack/reuse/overlap statistics. computeStart/computeEnd (UnixNano) bound
-// the compute window the pack could overlap with; both zero for the
-// prologue pack, which by construction overlaps nothing.
+// the compute window a lookahead pack could overlap with; both zero for a
+// just-in-time pack, whose time packNow charges instead.
 func (e *Executor[T]) finishPack(s *pipeStage, st *Stats, computeStart, computeEnd int64) {
 	s.handle.Wait()
 	aElems := int64(s.blk.mEff) * int64(s.blk.kEff)
@@ -361,12 +388,10 @@ func (e *Executor[T]) finishPack(s *pipeStage, st *Stats, computeStart, computeE
 		e.reuseEvent(s.blk.coord, bElems)
 	}
 	start, done := s.startNs.Load(), s.doneNs.Load()
-	if start > 0 && done > start {
+	if start > 0 && done > start && computeEnd > computeStart {
 		st.PackNanos += done - start
-		if computeEnd > computeStart {
-			if ov := min(done, computeEnd) - max(start, computeStart); ov > 0 {
-				st.OverlapNanos += ov
-			}
+		if ov := min(done, computeEnd) - max(start, computeStart); ov > 0 {
+			st.OverlapNanos += ov
 		}
 	}
 }
@@ -383,13 +408,46 @@ func (e *Executor[T]) reuseEvent(blk obs.Block, elems int64) {
 	})
 }
 
-// runPipelined executes the block schedule as a software pipeline: prologue
-// pack of block 0, steady state where block i computes while block i+1
-// packs, epilogue drain of the final pack before its compute. C-block
-// management (zero at run start, unpack at run end) stays synchronous — it
-// is cheap, and the resident partial-C buffer is shared by every block of a
-// K run so it cannot ping-pong.
-func (e *Executor[T]) runPipelined(c, a, b *matrix.Matrix[T], seq []schedule.Coord, st *Stats, m, k, n int) {
+// run executes one validated multiplication. The request path sets the
+// per-call fields (transposes, α, resB, keepA/keepB); b is nil on the
+// resident path, where e.resB supplies every B panel and no B packing code
+// runs. β scales C once up front, then the block schedule runs as a
+// software pipeline: prologue pack of block 0, steady state where block i
+// computes while block i+1 packs, epilogue drain of the final pack before
+// its compute. C-block management (zero at run start, unpack at run end)
+// stays synchronous — it is cheap, and the resident partial-C buffer is
+// shared by every block of a K run so it cannot ping-pong.
+func (e *Executor[T]) run(c, a, b *matrix.Matrix[T], m, k, n int, alpha, beta T) Stats {
+	if e.rec != nil {
+		// Traced spans double as phase-latency histogram samples when the
+		// metrics registry is live; cache the lookup for the whole call.
+		e.met = obs.MetricsFor("cake")
+	}
+	if beta != 1 {
+		chunks := min(e.cfg.Cores, max(1, m))
+		e.pool.ForStatic(chunks, func(_, s int) {
+			r0, rows := chunkSpan(s, chunks, m)
+			cv := c.View(r0, 0, rows, n)
+			if beta == 0 {
+				cv.Zero()
+			} else {
+				cv.Scale(beta)
+			}
+		})
+	}
+	if alpha == 0 {
+		return Stats{}
+	}
+
+	order := e.cfg.Order
+	if order == OrderAuto {
+		order = schedule.OrderFor(m, n)
+	}
+	grid := e.cfg.GridFor(m, k, n)
+	seq := schedule.KFirst(grid, order)
+	e.grow(m, k, n)
+	st := Stats{Grid: grid, Order: order, Blocks: len(seq)}
+
 	e.invalidateSlots()
 	// Lookahead packing only pays when another worker can run the pack while
 	// this block computes. On a single-worker pool the FIFO queue would run
@@ -399,20 +457,14 @@ func (e *Executor[T]) runPipelined(c, a, b *matrix.Matrix[T], seq []schedule.Coo
 	// win lives.
 	lookahead := e.pool.Workers() > 1
 	var cur *pipeStage
-	if lookahead {
-		cur = e.submitPack(a, b, e.spanFor(seq, 0, m, k, n), -1, -1)
-		e.finishPack(cur, st, 0, 0)
-	}
 	for i := range seq {
 		if cur == nil {
-			cur = e.submitPack(a, b, e.spanFor(seq, i, m, k, n), -1, -1)
-			e.finishPack(cur, st, 0, 0)
+			cur = e.packNow(a, b, seq, i, m, k, n, &st)
 		}
 		blk := cur.blk
-		e.curBlk = blk.coord // orchestrator-side C management spans
 		var next *pipeStage
 		if lookahead && i+1 < len(seq) {
-			next = e.submitPack(a, b, e.spanFor(seq, i+1, m, k, n), cur.aSlot, cur.bSlot)
+			next = e.submitPack(a, b, e.spanFor(seq, i+1, m, k, n), cur.aSlot, cur.bSlot, false)
 		}
 		cBlock := matrix.FromSlice(blk.mEff, blk.nEff, e.bufC[:blk.mEff*blk.nEff])
 		if blk.runStart {
@@ -426,13 +478,15 @@ func (e *Executor[T]) runPipelined(c, a, b *matrix.Matrix[T], seq []schedule.Coo
 		cEnd := time.Now()
 		if blk.runEnd {
 			t0 := time.Now()
-			e.unpack(c.View(blk.m0, blk.n0, blk.mEff, blk.nEff), cBlock)
+			e.unpack(c.View(blk.m0, blk.n0, blk.mEff, blk.nEff), cBlock, blk.coord)
 			st.PackNanos += time.Since(t0).Nanoseconds()
 			st.UnpackCElems += int64(blk.mEff) * int64(blk.nEff)
 		}
 		if next != nil {
-			e.finishPack(next, st, c0.UnixNano(), cEnd.UnixNano())
+			e.finishPack(next, &st, c0.UnixNano(), cEnd.UnixNano())
 		}
 		cur = next
 	}
+	e.accountGemm(st)
+	return st
 }

@@ -10,7 +10,7 @@ import (
 
 // benchGemm measures one executor configuration on a fixed shape and
 // reports GFLOP/s plus the packing/reuse accounting of the last run, so
-// `go test -bench Gemm` gives a direct sync-vs-pipelined comparison.
+// `go test -bench Gemm` compares the panel-cache settings.
 func benchGemm(b *testing.B, cfg Config, m, k, n int, opts ...Option) {
 	e, err := NewExecutor[float32](cfg, nil, opts...)
 	if err != nil {
@@ -55,10 +55,6 @@ func skewedConfig() Config {
 	return Config{Cores: 1, MC: 8, KC: 512, Alpha: 1, MR: 8, NR: 8, Dim: DimN, Order: OrderAuto}
 }
 
-func BenchmarkGemmSyncSkewedSmallM(b *testing.B) {
-	benchGemm(b, skewedConfig(), skewM, skewK, skewN, WithPipeline(false))
-}
-
 func BenchmarkGemmPipelinedSkewedSmallM(b *testing.B) {
 	benchGemm(b, skewedConfig(), skewM, skewK, skewN)
 }
@@ -67,15 +63,10 @@ func BenchmarkGemmPipelinedCacheSkewedSmallM(b *testing.B) {
 	benchGemm(b, skewedConfig(), skewM, skewK, skewN, WithPanelCache(16))
 }
 
-// Square control shape: compute-bound, so sync and pipelined should be
-// within noise of each other on a single-core host (the pipeline must not
-// cost throughput where it cannot win any).
+// Square control shape: compute-bound, so the pipeline has little packing
+// to hide and must not cost throughput where it cannot win any.
 func squareConfig() Config {
 	return Config{Cores: 1, MC: 64, KC: 128, Alpha: 1, MR: 8, NR: 8, Dim: DimN, Order: OrderAuto}
-}
-
-func BenchmarkGemmSyncSquare(b *testing.B) {
-	benchGemm(b, squareConfig(), 384, 384, 384, WithPipeline(false))
 }
 
 func BenchmarkGemmPipelinedSquare(b *testing.B) {
@@ -91,7 +82,6 @@ func TestBenchShapesCorrect(t *testing.T) {
 		m, k, n int
 		opts    []Option
 	}{
-		{skewedConfig(), skewM, skewK, skewN, []Option{WithPipeline(false)}},
 		{skewedConfig(), skewM, skewK, skewN, nil},
 		{skewedConfig(), skewM, skewK, skewN, []Option{WithPanelCache(16)}},
 		{squareConfig(), 384, 384, 384, nil},

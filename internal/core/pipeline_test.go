@@ -12,10 +12,10 @@ import (
 
 // TestPipelinedBitExactVsSync is the pipeline's oracle: for every compute
 // dimension, schedule order, transpose combination and a table of odd edge
-// shapes, the pipelined executor must produce results bit-identical to the
-// synchronous executor (the strip decomposition and accumulation order are
-// the same, so there is no floating-point excuse for any difference), and
-// both must agree with the naive reference within accumulation tolerance.
+// shapes, the executor must agree with the naive reference C = αAB + βC₀
+// within accumulation tolerance (the name dates from the removed
+// synchronous executor; the bit-exact cross-path oracles are the resident,
+// batch and engine tests).
 func TestPipelinedBitExactVsSync(t *testing.T) {
 	shapes := []struct{ m, k, n int }{
 		{64, 32, 64},  // exact multiples of the block
@@ -34,10 +34,6 @@ func TestPipelinedBitExactVsSync(t *testing.T) {
 		for _, order := range []schedule.Order{OrderAuto, schedule.OuterN, schedule.OuterM} {
 			cfg := smallConfig(3, dim)
 			cfg.Order = order
-			sync, err := NewExecutor[float64](cfg, nil, WithPipeline(false))
-			if err != nil {
-				t.Fatal(err)
-			}
 			pipe, err := NewExecutor[float64](cfg, nil)
 			if err != nil {
 				t.Fatal(err)
@@ -60,23 +56,11 @@ func TestPipelinedBitExactVsSync(t *testing.T) {
 					}
 					c0 := matrix.New[float64](sh.m, sh.n)
 					c0.Randomize(rng)
-					cSync, cPipe := c0.Clone(), c0.Clone()
-
-					if _, err := sync.GemmScaled(cSync, a, b, tc.ta, tc.tb, sc.alpha, sc.beta); err != nil {
-						t.Fatalf("sync dim=%v order=%v %+v: %v", dim, order, sh, err)
-					}
-					stp, err := pipe.GemmScaled(cPipe, a, b, tc.ta, tc.tb, sc.alpha, sc.beta)
-					if err != nil {
+					cPipe := c0.Clone()
+					if _, err := pipe.GemmScaled(cPipe, a, b, tc.ta, tc.tb, sc.alpha, sc.beta); err != nil {
 						t.Fatalf("pipe dim=%v order=%v %+v: %v", dim, order, sh, err)
 					}
-					if !stp.Pipelined {
-						t.Fatal("pipelined executor reported Pipelined=false")
-					}
-					if !cPipe.Equal(cSync) {
-						t.Fatalf("dim=%v order=%v shape=%+v ta=%v tb=%v α=%v β=%v: pipelined differs from sync by %g",
-							dim, order, sh, tc.ta, tc.tb, sc.alpha, sc.beta, cPipe.MaxAbsDiff(cSync))
-					}
-					// And both match the reference semantics C = αAB + βC₀.
+					// The reference semantics C = αAB + βC₀.
 					want := c0.Clone()
 					want.Scale(sc.beta)
 					prod := matrix.New[float64](sh.m, sh.n)
@@ -92,7 +76,6 @@ func TestPipelinedBitExactVsSync(t *testing.T) {
 					}
 				}
 			}
-			sync.Close()
 			pipe.Close()
 		}
 	}
@@ -159,10 +142,10 @@ func TestPipelinedPanelCache(t *testing.T) {
 }
 
 // TestConcurrentExecutorsSharedPool is the race-detector stress test: two
-// executors driving one shared pool from separate goroutines, mixing
-// pipelined and synchronous execution across all compute dimensions. Run
-// under -race this exercises the async pack handles, slot rings and job
-// multiplexing for data races.
+// groups of executors driving one shared pool from separate goroutines,
+// the second group with a panel cache beyond the ping-pong pair, across all
+// compute dimensions. Run under -race this exercises the async pack handles,
+// slot rings and job multiplexing for data races.
 func TestConcurrentExecutorsSharedPool(t *testing.T) {
 	p := pool.New(4)
 	defer p.Close()
@@ -171,7 +154,7 @@ func TestConcurrentExecutorsSharedPool(t *testing.T) {
 	errs := make(chan error, 2*3*iters)
 	for g := 0; g < 2; g++ {
 		for _, dim := range []ComputeDim{DimN, DimM, DimK} {
-			e, err := NewExecutor[float64](smallConfig(2, dim), p, WithPipeline(g == 0))
+			e, err := NewExecutor[float64](smallConfig(2, dim), p, WithPanelCache(2+6*g))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -236,9 +219,11 @@ func TestPipelinedExecutorReusesBuffersAcrossCalls(t *testing.T) {
 	}
 }
 
-// TestSyncStatsUnchanged pins the synchronous baseline's packing accounting
-// to the seed behaviour: no reuse, every element packed once per touching
-// block.
+// TestSyncStatsUnchanged pins the packing accounting (the name dates from
+// the removed synchronous executor): every element of A and B is either
+// packed or served from an already-packed panel once per touching block,
+// with lookahead packing and on a one-worker pool; WithoutPanelReuse packs
+// every touch, as the synchronous executor did, with the same result.
 func TestSyncStatsUnchanged(t *testing.T) {
 	cfg := smallConfig(2, DimN) // block 32x16x32 over 64x32x64: 2x2x2 grid
 	rng := rand.New(rand.NewSource(5))
@@ -246,23 +231,41 @@ func TestSyncStatsUnchanged(t *testing.T) {
 	b := matrix.New[float64](32, 64)
 	a.Randomize(rng)
 	b.Randomize(rng)
-	c := matrix.New[float64](64, 64)
-	e, err := NewExecutor[float64](cfg, nil, WithPipeline(false))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-	st, err := e.Gemm(c, a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Pipelined {
-		t.Fatal("WithPipeline(false) still pipelined")
-	}
-	if st.PackedAElems != 2*64*32 || st.PackedBElems != 2*32*64 {
-		t.Fatalf("sync packed A=%d B=%d", st.PackedAElems, st.PackedBElems)
-	}
-	if st.ReusedAElems != 0 || st.ReusedBElems != 0 || st.OverlapNanos != 0 {
-		t.Fatalf("sync path reported pipeline stats: %+v", st)
+	var want *matrix.Matrix[float64]
+	for _, tc := range []struct {
+		cores   int // one core: a one-worker pool, no lookahead
+		noReuse bool
+	}{{2, false}, {1, false}, {1, true}} {
+		cfg.Cores = tc.cores
+		var opts []Option
+		if tc.noReuse {
+			opts = append(opts, WithoutPanelReuse())
+		}
+		e, err := NewExecutor[float64](cfg, nil, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := matrix.New[float64](64, 64)
+		st, err := e.Gemm(c, a, b)
+		e.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		// A is touched once per block column, B once per block row.
+		touchedA, touchedB := int64(st.Grid.Nb*64*32), int64(st.Grid.Mb*32*64)
+		if st.PackedAElems+st.ReusedAElems != touchedA || st.PackedBElems+st.ReusedBElems != touchedB {
+			t.Fatalf("%+v grid %+v: packed+reused A=%d+%d B=%d+%d, want %d and %d touched", tc, st.Grid,
+				st.PackedAElems, st.ReusedAElems, st.PackedBElems, st.ReusedBElems, touchedA, touchedB)
+		}
+		if tc.noReuse != (st.ReusedAElems+st.ReusedBElems == 0) {
+			t.Fatalf("%+v: reused A=%d B=%d", tc, st.ReusedAElems, st.ReusedBElems)
+		}
+		if st.UnpackCElems != 64*64 {
+			t.Fatalf("%+v: unpacked %d C elements, want %d", tc, st.UnpackCElems, 64*64)
+		}
+		if tc.noReuse && !c.Equal(want) {
+			t.Fatalf("%+v: result differs from the reusing one-worker run by %g", tc, c.MaxAbsDiff(want))
+		}
+		want = c
 	}
 }

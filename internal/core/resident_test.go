@@ -23,7 +23,7 @@ func transpose[T matrix.Scalar](m *matrix.Matrix[T]) *matrix.Matrix[T] {
 // and the resident path on identically configured executors and demands
 // bit-identical output — the strip decomposition and reduction order are
 // shared, so any divergence is a layout bug, not roundoff.
-func checkResidentBitExact[T matrix.Scalar](t *testing.T, cfg Config, m, k, n int, transA, transB, pipelined bool, alpha, beta T, seed int64) {
+func checkResidentBitExact[T matrix.Scalar](t *testing.T, cfg Config, m, k, n int, transA, transB, lookahead bool, alpha, beta T, seed int64) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	a := matrix.New[T](m, k)
@@ -37,13 +37,15 @@ func checkResidentBitExact[T matrix.Scalar](t *testing.T, cfg Config, m, k, n in
 	c0.Randomize(rng)
 	c1 := c0.Clone()
 
-	opt := WithPipeline(pipelined)
-	fresh, err := NewExecutor[T](cfg, nil, opt)
+	if !lookahead {
+		cfg.Cores = 1 // a one-worker pool packs each block just in time
+	}
+	fresh, err := NewExecutor[T](cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer fresh.Close()
-	res, err := NewExecutor[T](cfg, nil, opt)
+	res, err := NewExecutor[T](cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,8 +73,8 @@ func checkResidentBitExact[T matrix.Scalar](t *testing.T, cfg Config, m, k, n in
 	}
 	for i := range c0.Data {
 		if c0.Data[i] != c1.Data[i] {
-			t.Fatalf("cfg=%+v %dx%dx%d transA=%v transB=%v pipe=%v: element %d differs: fresh %v resident %v",
-				cfg, m, k, n, transA, transB, pipelined, i, c0.Data[i], c1.Data[i])
+			t.Fatalf("cfg=%+v %dx%dx%d transA=%v transB=%v lookahead=%v: element %d differs: fresh %v resident %v",
+				cfg, m, k, n, transA, transB, lookahead, i, c0.Data[i], c1.Data[i])
 		}
 	}
 	if alpha == 0 {
@@ -101,9 +103,9 @@ func TestGemmResidentBitExactAllDims(t *testing.T) {
 	for _, dim := range []ComputeDim{DimN, DimM, DimK} {
 		cfg := smallConfig(2, dim)
 		for _, sh := range shapes {
-			for _, pipelined := range []bool{false, true} {
+			for _, lookahead := range []bool{false, true} {
 				seed++
-				checkResidentBitExact[float64](t, cfg, sh[0], sh[1], sh[2], false, false, pipelined, 1, 1, seed)
+				checkResidentBitExact[float64](t, cfg, sh[0], sh[1], sh[2], false, false, lookahead, 1, 1, seed)
 			}
 		}
 	}

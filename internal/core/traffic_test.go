@@ -14,19 +14,19 @@ import (
 // measured pack + avoided == predicted pack.
 func TestPredictTrafficMatchesTracedRun(t *testing.T) {
 	for _, tc := range []struct {
-		name     string
-		pipeline bool
-		m, k, n  int
+		name    string
+		cores   int // one core: a one-worker pool, no lookahead packing
+		m, k, n int
 	}{
-		{"sync aligned", false, 64, 128, 64},
-		{"sync ragged", false, 50, 100, 70},
-		{"pipelined aligned", true, 64, 128, 64},
-		{"pipelined ragged", true, 50, 100, 70},
+		{"one-worker aligned", 1, 64, 128, 64},
+		{"one-worker ragged", 1, 50, 100, 70},
+		{"pipelined aligned", 2, 64, 128, 64},
+		{"pipelined ragged", 2, 50, 100, 70},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := Config{Cores: 2, MC: 16, KC: 32, Alpha: 1, MR: 8, NR: 8, Dim: DimN, Order: OrderAuto}
+			cfg := Config{Cores: tc.cores, MC: 16, KC: 32, Alpha: 1, MR: 8, NR: 8, Dim: DimN, Order: OrderAuto}
 			rec := obs.NewRecorder(cfg.Cores, 4096)
-			e, err := NewExecutor[float32](cfg, nil, WithPipeline(tc.pipeline), WithTrace(rec))
+			e, err := NewExecutor[float32](cfg, nil, WithTrace(rec))
 			if err != nil {
 				t.Fatal(err)
 			}

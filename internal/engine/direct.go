@@ -47,155 +47,90 @@ func (d *DirectScratch[T]) Kernel() kernel.Kernel[T] { return d.kern }
 // dispatch: pack A (α folded) and B whole, zero a local accumulator, run one
 // macro-kernel sweep with kc = k, add back into C.
 func (d *DirectScratch[T]) GemmScaled(c, a, b *matrix.Matrix[T], transA, transB bool, alpha, beta T) (core.Stats, error) {
-	m, k := a.Rows, a.Cols
-	if transA {
-		m, k = k, m
+	r := core.Request[T]{C: []*matrix.Matrix[T]{c}, A: []*matrix.Matrix[T]{a}, B: []*matrix.Matrix[T]{b},
+		TransA: transA, TransB: transB, Alpha: alpha, Beta: beta}
+	if err := r.Check(nil, nil); err != nil {
+		return core.Stats{}, fmt.Errorf("engine: %w", err)
 	}
-	kb, n := b.Rows, b.Cols
-	if transB {
-		kb, n = n, kb
-	}
-	if k != kb || c.Rows != m || c.Cols != n {
-		return core.Stats{}, fmt.Errorf("engine: invalid GEMM dims C[%dx%d] = op(A)[%dx%d] x op(B)[%dx%d]",
-			c.Rows, c.Cols, m, k, kb, n)
-	}
-	if beta == 0 {
-		c.Zero()
-	} else if beta != 1 {
-		c.Scale(beta)
-	}
-	if alpha == 0 {
-		return core.Stats{}, nil
-	}
-
-	t0 := time.Now()
-	needA := packing.PackedASize(m, k, d.kern.MR)
-	needB := packing.PackedBSize(k, n, d.kern.NR)
-	needC := m * n
-	if cap(d.packA) < needA {
-		d.packA = make([]T, needA)
-	}
-	if cap(d.packB) < needB {
-		d.packB = make([]T, needB)
-	}
-	if cap(d.bufC) < needC {
-		d.bufC = make([]T, needC)
-	}
-	var ap, bp []T
-	if transA {
-		ap = packing.PackAT(d.packA[:needA], a, d.kern.MR, alpha)
-	} else {
-		ap = packing.PackA(d.packA[:needA], a, d.kern.MR, alpha)
-	}
-	if transB {
-		bp = packing.PackBT(d.packB[:needB], b, d.kern.NR)
-	} else {
-		bp = packing.PackB(d.packB[:needB], b, d.kern.NR)
-	}
-	cBlock := matrix.FromSlice(m, n, d.bufC[:needC])
-	cBlock.Zero()
-	packNs := time.Since(t0).Nanoseconds()
-
-	t0 = time.Now()
-	packing.Macro(d.kern, k, ap, bp, cBlock, d.scratch)
-	computeNs := time.Since(t0).Nanoseconds()
-
-	t0 = time.Now()
-	packing.AddInto(c, cBlock)
-	packNs += time.Since(t0).Nanoseconds()
-
-	return core.Stats{
-		Grid:         schedule.Dims{Mb: 1, Nb: 1, Kb: 1},
-		Blocks:       1,
-		PackedAElems: int64(m) * int64(k),
-		PackedBElems: int64(k) * int64(n),
-		UnpackCElems: int64(m) * int64(n),
-		PackNanos:    packNs,
-		ComputeNanos: computeNs,
-	}, nil
+	return d.run(&r, nil), nil
 }
 
-// GemmBatchScaled computes C[i] = α·op(A[i])×op(B[i]) + β·C[i] for every i
-// on the calling goroutine — the tiny tier's batch loop. All dimensions are
-// validated before any call mutates its C. When consecutive calls share a B
-// operand (pointer equality) the panel packed for the predecessor is served
-// straight from d.packB via the resident entry point, skipping the repack;
-// the skipped traffic is re-bucketed into ReusedBElems (batch-local panel
-// reuse, not cross-request residency) and counted in SharedBPacks. Results
-// are bit-exact with the equivalent sequence of GemmScaled calls: the packed
-// panel bytes are identical, and the tile sweep is shared code.
-func (d *DirectScratch[T]) GemmBatchScaled(cs, as, bs []*matrix.Matrix[T], transA, transB bool, alpha, beta T) (core.Stats, error) {
-	if len(cs) == 0 || len(as) != len(cs) || len(bs) != len(cs) {
-		return core.Stats{}, fmt.Errorf("%w: len(C)=%d len(A)=%d len(B)=%d", core.ErrBatchShape, len(cs), len(as), len(bs))
-	}
-	type bDims struct{ k, n int }
-	dims := make([]bDims, len(cs))
-	for i := range cs {
-		m, k := as[i].Rows, as[i].Cols
-		if transA {
-			m, k = k, m
-		}
-		kb, n := bs[i].Rows, bs[i].Cols
-		if transB {
-			kb, n = n, kb
-		}
-		if k != kb || cs[i].Rows != m || cs[i].Cols != n {
-			return core.Stats{}, fmt.Errorf("engine: invalid GEMM dims in batch call %d: C[%dx%d] = op(A)[%dx%d] x op(B)[%dx%d]",
-				i, cs[i].Rows, cs[i].Cols, m, k, kb, n)
-		}
-		dims[i] = bDims{k, n}
-	}
+// run executes a checked request on the calling goroutine — the tiny tier's
+// request path. bp, when non-nil, is the resident B side: the whole k×n
+// operand already packed in d.Kernel().NR-column panels (the tiny-tier
+// layout, see RegisterB), so no call packs B. Otherwise a call whose B is
+// the previous call's (pointer equality) is served from the panel still in
+// d.packB, counted in ReusedBElems and SharedBPacks. Results are bit-exact
+// with the equivalent sequence of single calls: the packed bytes are
+// identical, and every call runs the same body.
+func (d *DirectScratch[T]) run(r *core.Request[T], bp []T) core.Stats {
 	var agg core.Stats
 	packedB := false // d.packB holds call i−1's packed B panel
-	for i := range cs {
-		var st core.Stats
-		var err error
-		if i > 0 && bs[i] == bs[i-1] && packedB {
-			need := packing.PackedBSize(dims[i].k, dims[i].n, d.kern.NR)
-			st, err = d.GemmResident(cs[i], as[i], d.packB[:need], dims[i].k, dims[i].n, transA, alpha, beta)
-			st.ReusedBElems += st.ResidentBElems
-			st.ResidentBElems = 0
+	for i, c := range r.C {
+		a := r.A[i]
+		m, k, n := c.Rows, a.Cols, c.Cols
+		if r.TransA {
+			k = a.Rows
+		}
+		if bp != nil && i > 0 {
 			agg.SharedBPacks++
-		} else {
-			st, err = d.GemmScaled(cs[i], as[i], bs[i], transA, transB, alpha, beta)
-			packedB = err == nil && alpha != 0 // α = 0 returns before packing
 		}
-		if err != nil {
-			return agg, fmt.Errorf("engine: batch call %d: %w", i, err)
+		if r.Beta == 0 {
+			c.Zero()
+		} else if r.Beta != 1 {
+			c.Scale(r.Beta)
 		}
+		if r.Alpha == 0 {
+			continue
+		}
+		t0 := time.Now()
+		st := core.Stats{
+			Grid:         schedule.Dims{Mb: 1, Nb: 1, Kb: 1},
+			Blocks:       1,
+			PackedAElems: int64(m) * int64(k),
+			UnpackCElems: int64(m) * int64(n),
+		}
+		bElems := int64(k) * int64(n)
+		panel := bp
+		switch need := packing.PackedBSize(k, n, d.kern.NR); {
+		case bp != nil:
+			st.ResidentBElems = bElems
+		case packedB && r.B[i] == r.B[i-1]:
+			panel = d.packB[:need]
+			st.ReusedBElems = bElems
+			agg.SharedBPacks++
+		default:
+			if cap(d.packB) < need {
+				d.packB = make([]T, need)
+			}
+			if r.TransB {
+				panel = packing.PackBT(d.packB[:need], r.B[i], d.kern.NR)
+			} else {
+				panel = packing.PackB(d.packB[:need], r.B[i], d.kern.NR)
+			}
+			st.PackedBElems = bElems
+			packedB = true
+		}
+		st.PackNanos, st.ComputeNanos = d.gemm(c, a, panel, r.TransA, r.Alpha, t0)
 		agg.Add(st)
 	}
-	agg.BatchCalls = len(cs)
-	return agg, nil
+	if r.Batch {
+		agg.BatchCalls = len(r.C)
+	}
+	return agg
 }
 
-// GemmResident computes C = α·op(A)×B + β·C where bp holds the whole k×n B
-// operand already packed in d.Kernel().NR-column panels — the tiny tier's
-// resident layout (see engine.RegisterB). The B pack is skipped entirely;
-// everything else matches GemmScaled, so results are bit-exact with the
-// fresh-pack path.
-func (d *DirectScratch[T]) GemmResident(c, a *matrix.Matrix[T], bp []T, k, n int, transA bool, alpha, beta T) (core.Stats, error) {
-	m, ka := a.Rows, a.Cols
+// gemm is the direct path's one body: C += α·op(A)×B against the whole B
+// packed in bp. It packs A (α folded) whole, zeroes a local accumulator,
+// runs one macro-kernel sweep with kc = k and adds the result back into C.
+// Packing time is counted from t0, so a B pack just before the call is
+// charged to it.
+func (d *DirectScratch[T]) gemm(c, a *matrix.Matrix[T], bp []T, transA bool, alpha T, t0 time.Time) (packNs, computeNs int64) {
+	m, n := c.Rows, c.Cols
+	k := a.Cols
 	if transA {
-		m, ka = ka, m
+		k = a.Rows
 	}
-	if ka != k || c.Rows != m || c.Cols != n {
-		return core.Stats{}, fmt.Errorf("engine: invalid GEMM dims C[%dx%d] = op(A)[%dx%d] x residentB[%dx%d]",
-			c.Rows, c.Cols, m, ka, k, n)
-	}
-	if need := packing.PackedBSize(k, n, d.kern.NR); len(bp) < need {
-		return core.Stats{}, fmt.Errorf("engine: resident B panel has %d elements, %dx%d needs %d", len(bp), k, n, need)
-	}
-	if beta == 0 {
-		c.Zero()
-	} else if beta != 1 {
-		c.Scale(beta)
-	}
-	if alpha == 0 {
-		return core.Stats{}, nil
-	}
-
-	t0 := time.Now()
 	needA := packing.PackedASize(m, k, d.kern.MR)
 	needC := m * n
 	if cap(d.packA) < needA {
@@ -212,23 +147,13 @@ func (d *DirectScratch[T]) GemmResident(c, a *matrix.Matrix[T], bp []T, k, n int
 	}
 	cBlock := matrix.FromSlice(m, n, d.bufC[:needC])
 	cBlock.Zero()
-	packNs := time.Since(t0).Nanoseconds()
+	packNs = time.Since(t0).Nanoseconds()
 
 	t0 = time.Now()
 	packing.Macro(d.kern, k, ap, bp, cBlock, d.scratch)
-	computeNs := time.Since(t0).Nanoseconds()
+	computeNs = time.Since(t0).Nanoseconds()
 
 	t0 = time.Now()
 	packing.AddInto(c, cBlock)
-	packNs += time.Since(t0).Nanoseconds()
-
-	return core.Stats{
-		Grid:           schedule.Dims{Mb: 1, Nb: 1, Kb: 1},
-		Blocks:         1,
-		PackedAElems:   int64(m) * int64(k),
-		ResidentBElems: int64(k) * int64(n),
-		UnpackCElems:   int64(m) * int64(n),
-		PackNanos:      packNs,
-		ComputeNanos:   computeNs,
-	}, nil
+	return packNs + time.Since(t0).Nanoseconds(), computeNs
 }

@@ -10,7 +10,6 @@ package engine
 import (
 	"errors"
 	"fmt"
-	"time"
 	"unsafe"
 
 	"repro/internal/core"
@@ -18,7 +17,6 @@ import (
 	"repro/internal/kernel"
 	"repro/internal/matrix"
 	"repro/internal/obs"
-	"repro/internal/obs/reqtrace"
 	"repro/internal/packing"
 )
 
@@ -145,15 +143,23 @@ type residentHandle[T matrix.Scalar] struct {
 	op *residentOperand[T]
 }
 
-// Release drops the pin (idempotent).
-func (h *residentHandle[T]) Release() { h.h.Release() }
+// Release drops the pin (idempotent; a nil handle holds no pin).
+func (h *residentHandle[T]) Release() {
+	if h != nil {
+		h.h.Release()
+	}
+}
 
-// acquireOperand pins id's packed panels and types them. The caller owns the
-// pin and must Release it on every path — the GEMM body can panic (packing
-// layout guards panic by design), so release in a defer.
+// acquireOperand pins id's packed panels and types them; an empty id pins
+// nothing and returns a nil handle. The caller owns the pin and must Release
+// it on every path — the GEMM body can panic (packing layout guards panic by
+// design), so release in a defer.
 //
 //cake:lease
 func acquireOperand[T matrix.Scalar](e *Engine, id string) (*residentHandle[T], error) {
+	if id == "" {
+		return nil, nil
+	}
 	h, err := e.resident.Acquire(id)
 	if err != nil {
 		return nil, err
@@ -184,72 +190,6 @@ func GemmResidentScaled[T matrix.Scalar](e *Engine, c, a *matrix.Matrix[T], id s
 // GemmScaledFor). The request record additionally carries the resident
 // operand id and whether the panel pin hit or missed.
 func GemmResidentScaledFor[T matrix.Scalar](e *Engine, tenantLabel string, c, a *matrix.Matrix[T], id string, transA bool, alpha, beta T) (core.Stats, error) {
-	start := time.Now()
-	rec := reqtrace.Record{
-		ID:         e.trace.NextID(),
-		StartNs:    start.UnixNano(),
-		Tenant:     tenantLabel,
-		ResidentID: id,
-		Outcome:    reqtrace.OutcomeUnset,
-	}
-	st, err := gemmResident(e, &rec, c, a, id, transA, alpha, beta)
-	e.finishRecord(&rec, start, st, err)
-	return st, err
-}
-
-func gemmResident[T matrix.Scalar](e *Engine, rec *reqtrace.Record, c, a *matrix.Matrix[T], id string, transA bool, alpha, beta T) (core.Stats, error) {
-	if e.closedFast.Load() {
-		return core.Stats{}, ErrClosed
-	}
-	h, err := acquireOperand[T](e, id)
-	if err != nil {
-		rec.Resident = reqtrace.ResidentMiss
-		return core.Stats{}, err
-	}
-	rec.Resident = reqtrace.ResidentHit
-	defer h.Release()
-	op := h.op
-
-	m, k := a.Rows, a.Cols
-	if transA {
-		m, k = k, m
-	}
-	if k != op.k || c.Rows != m || c.Cols != op.n {
-		return core.Stats{}, fmt.Errorf("engine: invalid GEMM dims C[%dx%d] = op(A)[%dx%d] x residentB[%dx%d] (%q)",
-			c.Rows, c.Cols, m, k, op.k, op.n, id)
-	}
-	rec.M, rec.K, rec.N = int32(m), int32(k), int32(op.n)
-	elemBytes := int(unsafe.Sizeof(*new(T)))
-	t := e.TierFor(m, k, op.n, elemBytes)
-	// TierFor's arithmetic guarantees the tier's layout was packed (see
-	// residentOperand); fall through to the next tier up if a pathological
-	// platform geometry ever breaks that.
-	if t == TierTiny && op.tiny == nil {
-		t = TierSmall
-	}
-	if t == TierSmall && op.small == nil {
-		t = TierLarge
-	}
-	rec.Tier = t.String()
-	e.tierHits[t].Add(1)
-
-	var st core.Stats
-	if t == TierTiny {
-		st, err = runDirect(e, rec, func(d *DirectScratch[T]) (core.Stats, error) {
-			return d.GemmResident(c, a, op.tiny, op.k, op.n, transA, alpha, beta)
-		})
-	} else {
-		rb := op.large
-		if t == TierSmall {
-			rb = op.small
-		}
-		st, err = runPooled(e, t, rec, func(ex *core.Executor[T]) (core.Stats, error) {
-			return ex.GemmResident(c, a, rb, transA, alpha, beta)
-		})
-	}
-	if err != nil {
-		return st, err
-	}
-	e.resident.AccountAvoided(st.ResidentBElems * int64(elemBytes))
-	return st, nil
+	return serve(e, tenantLabel, id, &core.Request[T]{C: []*matrix.Matrix[T]{c}, A: []*matrix.Matrix[T]{a},
+		TransA: transA, Alpha: alpha, Beta: beta})
 }

@@ -13,19 +13,18 @@ import (
 // executor comparison: wall-clock throughput plus the packing / panel-reuse
 // accounting that explains it.
 type GemmBenchRow struct {
-	Shape         string  `json:"shape"`
-	Mode          string  `json:"mode"` // sync | pipelined | pipelined+cache
-	M             int     `json:"m"`
-	K             int     `json:"k"`
-	N             int     `json:"n"`
-	GFLOPS        float64 `json:"gflops"`
-	PackShare     float64 `json:"pack_share"`
-	PackedAElems  int64   `json:"packed_a_elems"`
-	PackedBElems  int64   `json:"packed_b_elems"`
-	ReusedAElems  int64   `json:"reused_a_elems"`
-	ReusedBElems  int64   `json:"reused_b_elems"`
-	OverlapNanos  int64   `json:"overlap_nanos"`
-	SpeedupVsSync float64 `json:"speedup_vs_sync"`
+	Shape        string  `json:"shape"`
+	Mode         string  `json:"mode"` // pipelined | pipelined+cache
+	M            int     `json:"m"`
+	K            int     `json:"k"`
+	N            int     `json:"n"`
+	GFLOPS       float64 `json:"gflops"`
+	PackShare    float64 `json:"pack_share"`
+	PackedAElems int64   `json:"packed_a_elems"`
+	PackedBElems int64   `json:"packed_b_elems"`
+	ReusedAElems int64   `json:"reused_a_elems"`
+	ReusedBElems int64   `json:"reused_b_elems"`
+	OverlapNanos int64   `json:"overlap_nanos"`
 }
 
 // gemmBenchCase is one shape class with the CB geometry used to run it.
@@ -55,9 +54,9 @@ func gemmBenchCases(cores int, quick bool) []gemmBenchCase {
 	return []gemmBenchCase{square, skewed}
 }
 
-// GemmBench compares the synchronous executor against the pipelined one
-// (with and without a panel cache) on real host GEMMs, one row per
-// (shape, mode). reps wall-clock runs are taken per row and the best kept.
+// GemmBench runs the executor with and without a panel cache beyond the
+// ping-pong pair on real host GEMMs, one row per (shape, mode). reps
+// wall-clock runs are taken per row and the best kept.
 func GemmBench(cores int, quick bool) ([]GemmBenchRow, error) {
 	reps := 3
 	if quick {
@@ -67,7 +66,6 @@ func GemmBench(cores int, quick bool) ([]GemmBenchRow, error) {
 		name string
 		opts []core.Option
 	}{
-		{"sync", []core.Option{core.WithPipeline(false)}},
 		{"pipelined", nil},
 		{"pipelined+cache", []core.Option{core.WithPanelCache(16)}},
 	}
@@ -81,7 +79,6 @@ func GemmBench(cores int, quick bool) ([]GemmBenchRow, error) {
 		c := matrix.New[float32](bc.m, bc.n)
 		flops := matrix.GemmFlops(bc.m, bc.n, bc.k)
 
-		syncIdx := len(out)
 		for _, mode := range modes {
 			e, err := core.NewExecutor[float32](bc.cfg, nil, mode.opts...)
 			if err != nil {
@@ -110,12 +107,6 @@ func GemmBench(cores int, quick bool) ([]GemmBenchRow, error) {
 				ReusedAElems: st.ReusedAElems, ReusedBElems: st.ReusedBElems,
 				OverlapNanos: st.OverlapNanos,
 			})
-		}
-		syncG := out[syncIdx].GFLOPS
-		for i := syncIdx; i < len(out); i++ {
-			if syncG > 0 {
-				out[i].SpeedupVsSync = out[i].GFLOPS / syncG
-			}
 		}
 	}
 	return out, nil

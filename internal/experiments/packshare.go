@@ -24,9 +24,9 @@ func PackingOverhead(cores int, shapes []PackShareRow) ([]PackShareRow, error) {
 	cfg := core.Config{
 		Cores: cores, MC: 64, KC: 64, Alpha: 1, MR: 8, NR: 8, Order: core.OrderAuto,
 	}
-	// The synchronous executor: this experiment reproduces the paper's
-	// baseline packing overhead, which panel reuse would understate.
-	e, err := core.NewExecutor[float32](cfg, nil, core.WithPipeline(false))
+	// Without panel reuse: this experiment reproduces the paper's baseline
+	// packing overhead, which reuse would understate.
+	e, err := core.NewExecutor[float32](cfg, nil, core.WithoutPanelReuse())
 	if err != nil {
 		return nil, err
 	}

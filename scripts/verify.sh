@@ -18,6 +18,11 @@ go vet ./...
 echo "== go build ./..."
 go build ./...
 
+# Simplicity metric: non-test Go lines per package, tracked alongside
+# GFLOP/s (ROADMAP). Informational only: printed, never gated.
+echo "== scripts/loc.sh (informational)"
+sh scripts/loc.sh || true
+
 # cake-vet: the repo's own invariant analyzers (internal/analysis), including
 # the profile-guided passes — hotcover replays the committed corpus profiles
 # and demands //cake:hotpath coverage on hot functions, escapecheck
