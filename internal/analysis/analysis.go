@@ -191,17 +191,32 @@ func Check(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 // directive. Directives follow the standard Go directive shape: no space
 // after //, the directive alone on its line.
 func hasDirective(doc *ast.CommentGroup, name string) bool {
+	_, ok := directiveArg(doc, name)
+	return ok
+}
+
+// directiveArg returns the text after the //cake:<name> directive (its
+// reason, for //cake:hotpath-exempt) and whether the directive is present.
+func directiveArg(doc *ast.CommentGroup, name string) (string, bool) {
 	if doc == nil {
-		return false
+		return "", false
 	}
 	want := "//cake:" + name
 	for _, c := range doc.List {
 		text := strings.TrimSpace(c.Text)
 		if text == want || strings.HasPrefix(text, want+" ") {
-			return true
+			return strings.TrimSpace(text[len(want):]), true
 		}
 	}
-	return false
+	return "", false
+}
+
+// reasonedExempt reports whether fn carries //cake:hotpath-exempt with a
+// non-empty reason — the only way a bodyless (assembly) function can meet
+// the hot-path contract, since no pass can inspect its body.
+func reasonedExempt(fn *ast.FuncDecl) bool {
+	reason, ok := directiveArg(fn.Doc, "hotpath-exempt")
+	return ok && reason != ""
 }
 
 // pkgFuncCall reports whether call invokes pkgPath.name (a package-level

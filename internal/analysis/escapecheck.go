@@ -31,7 +31,9 @@ import (
 //
 // Escapes inside a terminal panic(...) argument are exempt, mirroring
 // hotpathalloc: the guard-clause fmt.Sprintf runs at most once, on the way
-// out.
+// out. A //cake:hotpath function without a Go body (assembly) is itself an
+// error: the compiler never analyses its body, so it must carry
+// //cake:hotpath-exempt <reason> instead.
 
 // EscapeKind classifies one attributed compiler diagnostic.
 type EscapeKind int
@@ -183,6 +185,7 @@ func NewEscapeCheck(log *EscapeLog) *Analyzer {
 		if log == nil || log.Diags == 0 {
 			return nil
 		}
+		checkBodyless(pass)
 		for _, f := range pass.Files {
 			pos := pass.Fset.Position(f.Pos())
 			diags := log.ByFile[filepath.Clean(pos.Filename)]
@@ -194,6 +197,24 @@ func NewEscapeCheck(log *EscapeLog) *Analyzer {
 		return nil
 	}
 	return a
+}
+
+// checkBodyless reports //cake:hotpath on functions without a Go body: the
+// compiler's escape analysis never sees an assembly body, so the annotation
+// would promise a check that cannot run. Such a function must say why it is
+// safe with //cake:hotpath-exempt <reason> instead.
+func checkBodyless(pass *Pass) {
+	for _, f := range pass.Files {
+		for _, decl := range f.Decls {
+			fn, ok := decl.(*ast.FuncDecl)
+			if !ok || fn.Body != nil || !hasDirective(fn.Doc, "hotpath") || reasonedExempt(fn) {
+				continue
+			}
+			pass.Reportf(fn.Name.Pos(),
+				"%s is annotated //cake:hotpath but has no Go body, so escape analysis cannot check it; use //cake:hotpath-exempt <reason>",
+				fn.Name.Name)
+		}
+	}
 }
 
 func checkFileEscapes(pass *Pass, f *ast.File, diags []EscapeDiag) {

@@ -25,6 +25,10 @@ import (
 // header). Closure frames (F.func1) and generic instantiations
 // (F[go.shape.float64]) are attributed to the declaring function.
 //
+// A function without a Go body (implemented in assembly) cannot be
+// inspected by any pass, so //cake:hotpath does not cover it: when hot it
+// must carry //cake:hotpath-exempt with a reason.
+//
 // The converse direction is advisory: a //cake:hotpath function with zero
 // samples in every committed profile is reported as possibly stale — either
 // the annotation outlived the code's role or the corpus scenarios no longer
@@ -183,15 +187,26 @@ func NewHotCover(stats *HotStats) *Analyzer {
 		for _, f := range pass.Files {
 			for _, decl := range f.Decls {
 				fn, ok := decl.(*ast.FuncDecl)
-				if !ok || fn.Body == nil {
+				if !ok {
 					continue
 				}
 				key := pass.Path + "." + funcFrameName(fn)
 				hf := stats.Funcs[key]
+				hot := hf != nil && hf.MaxShare >= stats.Threshold
+				if fn.Body == nil {
+					// An assembly function: no pass can inspect its body,
+					// so being hot demands a reasoned exemption.
+					if hot && !reasonedExempt(fn) {
+						pass.Reportf(fn.Name.Pos(),
+							"%s has no Go body and is hot in committed profiles (%.1f%% of %s flat time); hotpathalloc and escapecheck cannot inspect it, so it needs //cake:hotpath-exempt <reason>",
+							fn.Name.Name, hf.MaxShare*100, hf.Scenario)
+					}
+					continue
+				}
 				annotated := hasDirective(fn.Doc, "hotpath")
 				exempt := hasDirective(fn.Doc, "hotpath-exempt")
 				switch {
-				case hf != nil && hf.MaxShare >= stats.Threshold && !annotated && !exempt:
+				case hot && !annotated && !exempt:
 					pass.Reportf(fn.Name.Pos(),
 						"%s is hot in committed profiles (%.1f%% of %s flat time) but carries neither //cake:hotpath nor //cake:hotpath-exempt, so hotpathalloc and escapecheck never inspect it",
 						fn.Name.Name, hf.MaxShare*100, hf.Scenario)

@@ -14,8 +14,8 @@ import (
 const hotcoverPkgPath = "repro/internal/analysis/testdata/src/hotcover"
 
 // writeHotcoverCorpus synthesizes a corpus store with one epoch whose CPU
-// profile references the hotcover fixture. Shares (out of 1000 total):
-// every named frame except Warm (1%) clears the 2% default threshold.
+// profile references the hotcover fixture. Shares (out of 1090 total):
+// every named frame except Warm (0.9%) clears the 2% default threshold.
 func writeHotcoverCorpus(t *testing.T) string {
 	t.Helper()
 	dir := t.TempDir()
@@ -32,6 +32,9 @@ func writeHotcoverCorpus(t *testing.T) string {
 		{Name: hotcoverPkgPath + ".Deleted", Value: 80}, // no such decl anymore
 		{Name: "runtime.memmove", Value: 50},            // outside the module
 		{Name: hotcoverPkgPath + ".Warm", Value: 10},
+		{Name: hotcoverPkgPath + ".HotAsm", Value: 30},
+		{Name: hotcoverPkgPath + ".HotAsmBareExempt", Value: 30},
+		{Name: hotcoverPkgPath + ".HotAsmExempt", Value: 30},
 	}
 	if err := experiments.WriteProfile(filepath.Join(epoch, "cpu-test.pprof"), "cpu", "nanoseconds", frames); err != nil {
 		t.Fatal(err)

@@ -1,0 +1,3 @@
+// The bodyless functions in bodyless.go are declared, never called or
+// linked; this file only tells the compiler that the package carries
+// assembly, so their declarations compile.

@@ -71,3 +71,23 @@ func ColdAnnotated(a, b int) int { // want `ColdAnnotated is annotated //cake:ho
 func Warm(a int) int {
 	return a + 1
 }
+
+// Functions implemented in assembly (hotcover.s): no pass can inspect their
+// bodies, so a hot one needs a reasoned exemption. (//cake:hotpath on a
+// bodyless function is escapecheck's finding; see its fixture.)
+
+// HotAsm is hot and unexempted.
+func HotAsm(n int) int // want `HotAsm has no Go body and is hot in committed profiles`
+
+// HotAsmBareExempt is hot and exempt, but gives no reason.
+//
+//cake:hotpath-exempt
+func HotAsmBareExempt(n int) int // want `HotAsmBareExempt has no Go body and is hot`
+
+// HotAsmExempt is hot and says why it is safe: accepted.
+//
+//cake:hotpath-exempt assembly body: allocates nothing
+func HotAsmExempt(n int) int
+
+// ColdAsm is never sampled: nothing to report.
+func ColdAsm(n int) int

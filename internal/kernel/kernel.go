@@ -11,10 +11,12 @@
 // exactly the packed layout GotoBLAS/BLIS use, so the packing code in
 // internal/packing is shared between both drivers.
 //
-// Per the reproduction constraints there is no assembly: specialised kernels
-// are hand-unrolled pure Go. Absolute FLOP rates are below vendor BLAS, but
-// the arithmetic structure — and therefore the memory behaviour the paper
-// studies — is identical.
+// The f64 8×8 tile runs a Go-assembly SIMD kernel on amd64 (AVX-512F or
+// AVX2+FMA, picked by CPUID at init; see dispatch.go). Every other shape and
+// element type, and every build for another architecture or with -tags
+// purego, uses hand-unrolled pure Go: slower than vendor BLAS, but with the
+// same arithmetic structure and therefore the same memory behaviour the
+// paper studies.
 package kernel
 
 import (
@@ -59,11 +61,15 @@ func Generic[T matrix.Scalar](mr, nr int) Kernel[T] {
 	return Kernel[T]{Name: fmt.Sprintf("generic%dx%d", mr, nr), MR: mr, NR: nr, F: f}
 }
 
-// Best returns the preferred kernel for the given tile shape: a hand-
-// unrolled specialisation when one exists, otherwise the generic kernel.
+// Best returns the preferred kernel for the given tile shape: for f64 8×8
+// the SIMD kernel the host supports, otherwise a hand-unrolled
+// specialisation when one exists, otherwise the generic kernel.
 func Best[T matrix.Scalar](mr, nr int) Kernel[T] {
 	switch {
 	case mr == 8 && nr == 8:
+		if k, ok := any(&best8x8F64).(*Kernel[T]); ok {
+			return *k
+		}
 		return Kernel[T]{Name: "unrolled8x8", MR: 8, NR: 8, F: kernel8x8[T]}
 	case mr == 4 && nr == 8:
 		return Kernel[T]{Name: "unrolled4x8", MR: 4, NR: 8, F: kernel4x8[T]}
@@ -80,7 +86,8 @@ func Best[T matrix.Scalar](mr, nr int) Kernel[T] {
 
 // Default returns the kernel used when the caller expresses no preference.
 // 8×8 gives the best sustained rate of the pure-Go kernels on typical
-// out-of-order cores (see BenchmarkAblationKernel).
+// out-of-order cores (see BenchmarkAblationKernel), and is the f64 shape
+// with a SIMD kernel.
 func Default[T matrix.Scalar]() Kernel[T] { return Best[T](8, 8) }
 
 // Scratch holds the temporary tile used for edge handling so that hot loops

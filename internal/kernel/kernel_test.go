@@ -1,7 +1,9 @@
 package kernel
 
 import (
+	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -58,8 +60,8 @@ func TestUnrolledKernelsMatchGeneric(t *testing.T) {
 	shapes := [][2]int{{8, 8}, {6, 8}, {4, 8}, {8, 4}, {4, 4}}
 	for _, s := range shapes {
 		k := Best[float64](s[0], s[1])
-		if k.Name[:8] != "unrolled" {
-			t.Fatalf("expected unrolled kernel for %dx%d, got %s", s[0], s[1], k.Name)
+		if strings.HasPrefix(k.Name, "generic") {
+			t.Fatalf("expected a specialised kernel for %dx%d, got %s", s[0], s[1], k.Name)
 		}
 		for _, kc := range []int{1, 3, 32, 100} {
 			checkKernelAgainstNaive(t, k, kc, int64(kc)*31, 1e-12)
@@ -223,5 +225,222 @@ func TestKernelsAgreeQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// f64Tol8x8 is the per-k tolerance (matrix.AlmostEqual scales it by kc) for
+// an f64 8×8 kernel against Generic. Both compute C_ij + Σ_k a_ik·b_kj in k
+// order, one with FMAs and one with a separate multiply and add, so each is
+// within the standard error bound |ΔC_ij| ≤ γ_(kc+1)·(|C_ij| + Σ_k |a_ik||b_kj|)
+// of the exact value, with γ_n = n·u/(1−n·u) and u = 2⁻⁵³. The test operands
+// lie in [−1, 1], so the sum is at most kc+1 and the two results differ by
+// at most 2·(kc+1)²·u/(1−(kc+1)·u): 1.5e-11 at kc = 257 against the
+// 2.6e-10 allowed, and within 1e-12·kc for every kc below about 4500.
+const f64Tol8x8 = 1e-12
+
+// runnable8x8F64 returns the f64 8×8 implementations this build carries and
+// the host can run, plus the names of those it cannot.
+func runnable8x8F64() (run []Kernel[float64], skipped []string) {
+	for _, im := range f64Impls8x8 {
+		if im.needs.coveredBy(hostCPU) {
+			run = append(run, im.k)
+		} else {
+			skipped = append(skipped, im.k.Name)
+		}
+	}
+	return run, skipped
+}
+
+func TestSelect8x8F64(t *testing.T) {
+	cases := []struct {
+		have      cpuFeatures
+		asm, pure string
+	}{
+		{cpuFeatures{avx2FMA: true, avx512F: true}, "avx512-8x8", "unrolled8x8"},
+		{cpuFeatures{avx512F: true}, "avx512-8x8", "unrolled8x8"},
+		{cpuFeatures{avx2FMA: true}, "avx2-8x8", "unrolled8x8"},
+		{cpuFeatures{}, "unrolled8x8", "unrolled8x8"},
+	}
+	asm := len(f64Impls8x8) > 1 // amd64 without -tags purego
+	for _, c := range cases {
+		want := c.pure
+		if asm {
+			want = c.asm
+		}
+		if got := select8x8F64(c.have).Name; got != want {
+			t.Errorf("select8x8F64(%+v) = %s, want %s", c.have, got, want)
+		}
+	}
+	if got, want := Best[float64](8, 8).Name, select8x8F64(hostCPU).Name; got != want {
+		t.Errorf("Best[float64](8, 8) = %s, want the host's %s", got, want)
+	}
+	if got := Best[float32](8, 8).Name; got != "unrolled8x8" {
+		t.Errorf("Best[float32](8, 8) = %s, want unrolled8x8", got)
+	}
+}
+
+// TestF64Kernels8x8MatchGeneric runs every f64 8×8 implementation the host
+// can run against Generic, writing into a C tile embedded in a NaN-filled
+// buffer: the tile must match and every sentinel must stay NaN.
+func TestF64Kernels8x8MatchGeneric(t *testing.T) {
+	impls, skipped := runnable8x8F64()
+	if len(skipped) > 0 {
+		t.Logf("host cannot run %v", skipped)
+	}
+	ref := Generic[float64](8, 8)
+	for _, k := range impls {
+		for _, kc := range []int{0, 1, 2, 3, 7, 64, 257} {
+			for _, ldc := range []int{8, 13, 64} {
+				rng := rand.New(rand.NewSource(int64(kc*100 + ldc)))
+				var ap, bp []float64 // nil panels at kc = 0
+				if kc > 0 {
+					ap, bp = make([]float64, 8*kc), make([]float64, 8*kc)
+					for i := range ap {
+						ap[i], bp[i] = 2*rng.Float64()-1, 2*rng.Float64()-1
+					}
+				}
+				// 3 rows of sentinel before and after the 8-row tile, and
+				// columns 8..ldc-1 of each tile row.
+				const pad = 3
+				buf := make([]float64, (8+2*pad)*ldc)
+				for i := range buf {
+					buf[i] = math.NaN()
+				}
+				want := matrix.New[float64](8, 8)
+				for i := 0; i < 8; i++ {
+					for j := 0; j < 8; j++ {
+						v := 2*rng.Float64() - 1
+						buf[(pad+i)*ldc+j] = v
+						want.Set(i, j, v)
+					}
+				}
+				k.F(kc, ap, bp, buf[pad*ldc:], ldc)
+				ref.F(kc, ap, bp, want.Data, want.Stride)
+
+				got := matrix.New[float64](8, 8)
+				for i := 0; i < 8; i++ {
+					copy(got.Row(i), buf[(pad+i)*ldc:(pad+i)*ldc+8])
+				}
+				if !got.AlmostEqual(want, kc, f64Tol8x8) {
+					t.Fatalf("%s kc=%d ldc=%d: max diff %g", k.Name, kc, ldc, got.MaxAbsDiff(want))
+				}
+				if kc == 0 && got.MaxAbsDiff(want) != 0 {
+					t.Fatalf("%s kc=0 ldc=%d modified C", k.Name, ldc)
+				}
+				for p, v := range buf {
+					r, c := p/ldc, p%ldc
+					inTile := r >= pad && r < pad+8 && c < 8
+					if !inTile && !math.IsNaN(v) {
+						t.Fatalf("%s kc=%d ldc=%d: wrote sentinel at row %d col %d", k.Name, kc, ldc, r-pad, c)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestF64AsmKernels8x8BitIdentical checks that the assembly kernels agree
+// bit for bit: both accumulate from zero with one FMA per k in k order, so
+// a result cannot depend on which SIMD path the host selected.
+func TestF64AsmKernels8x8BitIdentical(t *testing.T) {
+	impls, _ := runnable8x8F64()
+	var asm []Kernel[float64]
+	for _, k := range impls {
+		if k.Name != pure8x8F64.Name {
+			asm = append(asm, k)
+		}
+	}
+	if len(asm) < 2 {
+		t.Skipf("fewer than two assembly kernels run here: %d", len(asm))
+	}
+	rng := rand.New(rand.NewSource(7))
+	for _, kc := range []int{1, 5, 129} {
+		ap, bp := make([]float64, 8*kc), make([]float64, 8*kc)
+		for i := range ap {
+			ap[i], bp[i] = 2*rng.Float64()-1, 2*rng.Float64()-1
+		}
+		c0 := make([]float64, 64)
+		for i := range c0 {
+			c0[i] = 2*rng.Float64() - 1
+		}
+		var first []float64
+		for _, k := range asm {
+			c := append([]float64(nil), c0...)
+			k.F(kc, ap, bp, c, 8)
+			if first == nil {
+				first = c
+				continue
+			}
+			for i := range c {
+				if math.Float64bits(c[i]) != math.Float64bits(first[i]) {
+					t.Fatalf("kc=%d: %s and %s differ at %d: %v vs %v", kc, asm[0].Name, k.Name, i, first[i], c[i])
+				}
+			}
+		}
+	}
+}
+
+// TestF64Kernels8x8ShortOperandsPanic checks that a short A panel, B panel
+// or C panics in every implementation. For the assembly kernels the panic
+// must come from the Go wrapper, before any C element is written.
+func TestF64Kernels8x8ShortOperandsPanic(t *testing.T) {
+	impls, _ := runnable8x8F64()
+	const kc, ldc = 5, 11
+	full := func(n int) []float64 {
+		s := make([]float64, n)
+		for i := range s {
+			s[i] = 1
+		}
+		return s
+	}
+	cases := []struct {
+		name    string
+		a, b, c []float64
+	}{
+		{"short A", full(8*kc - 1), full(8 * kc), full(7*ldc + 8)},
+		{"short B", full(8 * kc), full(8*kc - 1), full(7*ldc + 8)},
+		{"short C", full(8 * kc), full(8 * kc), full(7*ldc + 7)},
+	}
+	for _, k := range impls {
+		for _, tc := range cases {
+			c := append([]float64(nil), tc.c...)
+			c = c[:len(c):len(c)] // the pure-Go kernel reslices C up to cap
+			panicked := func() (p bool) {
+				defer func() { p = recover() != nil }()
+				k.F(kc, tc.a, tc.b, c, ldc)
+				return false
+			}()
+			if !panicked {
+				t.Fatalf("%s %s: no panic", k.Name, tc.name)
+			}
+			if k.Name == pure8x8F64.Name {
+				continue // the pure-Go kernel may write rows before C runs out
+			}
+			for i, v := range c {
+				if v != tc.c[i] {
+					t.Fatalf("%s %s: C[%d] written before the panic", k.Name, tc.name, i)
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkKernel8x8F64 times each f64 8×8 implementation the host can run
+// on L1-resident panels (kc = 256).
+func BenchmarkKernel8x8F64(b *testing.B) {
+	impls, _ := runnable8x8F64()
+	const kc = 256
+	ap, bp := make([]float64, 8*kc), make([]float64, 8*kc)
+	for i := range ap {
+		ap[i], bp[i] = float64(i%7)*0.25, float64(i%5)*0.5
+	}
+	c := make([]float64, 64)
+	for _, k := range impls {
+		b.Run(k.Name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				k.F(kc, ap, bp, c, 8)
+			}
+			b.ReportMetric(2*64*kc*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+		})
 	}
 }

@@ -38,9 +38,10 @@ func PackedBSize(kc, c, nr int) int {
 
 // PackA packs the dense block a (any r×kc view) into dst using mr-row
 // panels, zero-padding the final partial panel, multiplying every element by
-// scale on the way through (BLAS α folded into the single packing pass —
-// scale 1 takes a multiply-free path). dst must have at least
-// PackedASize(a.Rows, a.Cols, mr) elements; the used prefix is returned.
+// scale on the way through (BLAS α folded into the single packing pass).
+// Full 8-row panels take the row-sequential packA8 path. dst must have at
+// least PackedASize(a.Rows, a.Cols, mr) elements; the used prefix is
+// returned.
 //
 //cake:hotpath
 func PackA[T matrix.Scalar](dst []T, a *matrix.Matrix[T], mr int, scale T) []T {
@@ -53,6 +54,10 @@ func PackA[T matrix.Scalar](dst []T, a *matrix.Matrix[T], mr int, scale T) []T {
 	for q := 0; q < ceilDiv(r, mr); q++ {
 		panel := dst[q*mr*kc : (q+1)*mr*kc]
 		rows := min(mr, r-q*mr)
+		if mr == 8 && rows == 8 && kc > 0 {
+			packA8(panel, a, q*8, scale)
+			continue
+		}
 		for k := 0; k < kc; k++ {
 			col := panel[k*mr : k*mr+mr]
 			if scale == 1 {
@@ -72,6 +77,36 @@ func PackA[T matrix.Scalar](dst []T, a *matrix.Matrix[T], mr int, scale T) []T {
 	return dst
 }
 
+// packA8 packs rows [i0, i0+8) of a into one full 8-row panel. Each of the
+// eight source rows is read sequentially and each k's eight values are
+// written contiguously, instead of gathering one strided element at a
+// time. Multiplying by scale 1 is exact, so one loop serves every scale.
+//
+//cake:hotpath
+func packA8[T matrix.Scalar](panel []T, a *matrix.Matrix[T], i0 int, scale T) {
+	kc, s := a.Cols, a.Stride
+	r0 := a.Data[i0*s : i0*s+kc]
+	r1 := a.Data[(i0+1)*s : (i0+1)*s+kc]
+	r2 := a.Data[(i0+2)*s : (i0+2)*s+kc]
+	r3 := a.Data[(i0+3)*s : (i0+3)*s+kc]
+	r4 := a.Data[(i0+4)*s : (i0+4)*s+kc]
+	r5 := a.Data[(i0+5)*s : (i0+5)*s+kc]
+	r6 := a.Data[(i0+6)*s : (i0+6)*s+kc]
+	r7 := a.Data[(i0+7)*s : (i0+7)*s+kc]
+	for k, v := range r0 {
+		col := panel[:8:8]
+		panel = panel[8:]
+		col[0] = v * scale
+		col[1] = r1[k] * scale
+		col[2] = r2[k] * scale
+		col[3] = r3[k] * scale
+		col[4] = r4[k] * scale
+		col[5] = r5[k] * scale
+		col[6] = r6[k] * scale
+		col[7] = r7[k] * scale
+	}
+}
+
 // PackB packs the dense block b (any kc×c view) into dst using nr-column
 // panels, zero-padding the final partial panel. dst must have at least
 // PackedBSize(b.Rows, b.Cols, nr) elements; the used prefix is returned.
@@ -84,9 +119,21 @@ func PackB[T matrix.Scalar](dst []T, b *matrix.Matrix[T], nr int) []T {
 		panic(fmt.Sprintf("packing: PackB dst %d < %d", len(dst), n))
 	}
 	dst = dst[:n]
+	s := b.Stride
 	for q := 0; q < ceilDiv(c, nr); q++ {
 		panel := dst[q*nr*kc : (q+1)*nr*kc]
 		cols := min(nr, c-q*nr)
+		if nr == 8 && cols == 8 {
+			// Full 8-wide panel: eight element moves per k, no per-row
+			// slicing and no memmove call.
+			for k, o := 0, q*8; k < kc; k, o = k+1, o+s {
+				d := panel[k*8 : k*8+8 : k*8+8]
+				r := b.Data[o : o+8 : o+8]
+				d[0], d[1], d[2], d[3] = r[0], r[1], r[2], r[3]
+				d[4], d[5], d[6], d[7] = r[4], r[5], r[6], r[7]
+			}
+			continue
+		}
 		for k := 0; k < kc; k++ {
 			row := panel[k*nr : k*nr+nr]
 			brow := b.Row(k)[q*nr : q*nr+cols]

@@ -1,6 +1,7 @@
 package packing
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -325,5 +326,126 @@ func TestPackATScaled(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("PackAT scale at %d: got %v want %v", i, got[i], want[i])
 		}
+	}
+}
+
+// packARef and packBRef are the loops PackA and PackB ran for every panel
+// before the full-panel fast paths, kept as the reference those paths must
+// reproduce bit for bit.
+func packARef[T matrix.Scalar](dst []T, a *matrix.Matrix[T], mr int, scale T) []T {
+	r, kc := a.Rows, a.Cols
+	dst = dst[:PackedASize(r, kc, mr)]
+	for q := 0; q < ceilDiv(r, mr); q++ {
+		panel := dst[q*mr*kc : (q+1)*mr*kc]
+		rows := min(mr, r-q*mr)
+		for k := 0; k < kc; k++ {
+			col := panel[k*mr : k*mr+mr]
+			if scale == 1 {
+				for i := 0; i < rows; i++ {
+					col[i] = a.At(q*mr+i, k)
+				}
+			} else {
+				for i := 0; i < rows; i++ {
+					col[i] = a.At(q*mr+i, k) * scale
+				}
+			}
+			for i := rows; i < mr; i++ {
+				col[i] = 0
+			}
+		}
+	}
+	return dst
+}
+
+func packBRef[T matrix.Scalar](dst []T, b *matrix.Matrix[T], nr int) []T {
+	kc, c := b.Rows, b.Cols
+	dst = dst[:PackedBSize(kc, c, nr)]
+	for q := 0; q < ceilDiv(c, nr); q++ {
+		panel := dst[q*nr*kc : (q+1)*nr*kc]
+		cols := min(nr, c-q*nr)
+		for k := 0; k < kc; k++ {
+			row := panel[k*nr : k*nr+nr]
+			copy(row, b.Row(k)[q*nr:q*nr+cols])
+			for j := cols; j < nr; j++ {
+				row[j] = 0
+			}
+		}
+	}
+	return dst
+}
+
+// TestPackFastPathsMatchReference: PackA and PackB equal the reference loops
+// bit for bit over ragged shapes, strided views, scales and panel widths,
+// into dirty destination buffers.
+func TestPackFastPathsMatchReference(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		widths := []int{4, 6, 8}
+		mr, nr := widths[rng.Intn(3)], widths[rng.Intn(3)]
+		scale := []float64{1, -1, 0.5}[rng.Intn(3)]
+		rows, cols := 1+rng.Intn(40), 1+rng.Intn(40)
+		// A view at a random offset inside a larger matrix, so the stride
+		// exceeds the width and the last row ends before the backing array.
+		host := matrix.New[float64](rows+rng.Intn(5), cols+rng.Intn(9))
+		host.Randomize(rng)
+		v := host.View(host.Rows-rows, rng.Intn(host.Cols-cols+1), rows, cols)
+
+		dirty := func(n int) []float64 {
+			d := make([]float64, n)
+			for i := range d {
+				d[i] = -7
+			}
+			return d
+		}
+		na := PackedASize(rows, cols, mr)
+		gotA, wantA := PackA(dirty(na), v, mr, scale), packARef(dirty(na), v, mr, scale)
+		nb := PackedBSize(rows, cols, nr)
+		gotB, wantB := PackB(dirty(nb), v, nr), packBRef(dirty(nb), v, nr)
+		for i := range wantA {
+			if math.Float64bits(gotA[i]) != math.Float64bits(wantA[i]) {
+				t.Logf("PackA %dx%d mr=%d scale=%v: [%d] %v want %v", rows, cols, mr, scale, i, gotA[i], wantA[i])
+				return false
+			}
+		}
+		for i := range wantB {
+			if math.Float64bits(gotB[i]) != math.Float64bits(wantB[i]) {
+				t.Logf("PackB %dx%d nr=%d: [%d] %v want %v", rows, cols, nr, i, gotB[i], wantB[i])
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// BenchmarkPack times PackA and PackB on a 64×64 f32 view of a 512×512
+// matrix and on a whole 256×256 one, against the reference loops.
+func BenchmarkPack(b *testing.B) {
+	big := matrix.New[float32](512, 512)
+	big.Fill(1)
+	views := []struct {
+		name string
+		m    *matrix.Matrix[float32]
+	}{
+		{"view64", big.View(64, 64, 64, 64)},
+		{"full256", matrix.New[float32](256, 256)},
+	}
+	for _, v := range views {
+		dst := make([]float32, PackedASize(v.m.Rows, v.m.Cols, 8))
+		bytes := int64(v.m.Rows * v.m.Cols * 4)
+		run := func(name string, pack func()) {
+			b.Run(v.name+"/"+name, func(b *testing.B) {
+				b.SetBytes(bytes)
+				for i := 0; i < b.N; i++ {
+					pack()
+				}
+			})
+		}
+		run("PackA", func() { PackA(dst, v.m, 8, 1) })
+		run("PackARef", func() { packARef(dst, v.m, 8, 1) })
+		run("PackB", func() { PackB(dst, v.m, 8) })
+		run("PackBRef", func() { packBRef(dst, v.m, 8) })
 	}
 }

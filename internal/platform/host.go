@@ -15,15 +15,18 @@ import (
 // Hz; scientific notation like "21.3e9" works), which override the defaults.
 func DetectHost(cores int) *Platform {
 	pl := &Platform{
-		Name:          "host",
-		Cores:         cores,
-		L1Bytes:       32 << 10,
-		L2Bytes:       512 << 10,
-		LLCBytes:      16 << 20,
-		DRAMBytes:     16 << 30,
-		DRAMBW:        25e9,
-		ClockHz:       3e9,
-		FlopsPerCycle: 4, // pure-Go scalar kernels: no SIMD
+		Name:      "host",
+		Cores:     cores,
+		L1Bytes:   32 << 10,
+		L2Bytes:   512 << 10,
+		LLCBytes:  16 << 20,
+		DRAMBytes: 16 << 30,
+		DRAMBW:    25e9,
+		ClockHz:   3e9,
+		// The pure-Go kernels' rate. The f64 8×8 SIMD kernel runs faster,
+		// but Plan derives α from this value, so it stays until the CB
+		// blocks are re-derived for SIMD kernels (ROADMAP.md).
+		FlopsPerCycle: 4,
 		Internal:      BWCurve{SlopePre: 40e9, Knee: 8, SlopePost: 15e9},
 		LatL1:         4, LatL2: 12, LatLLC: 40, LatDRAM: 200,
 		DemandOverlap: 0.95,

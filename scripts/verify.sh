@@ -50,6 +50,16 @@ rm -rf "$VET_TMP"
 echo "== go test ./..."
 go test ./...
 
+# The pure-Go fallback: the f64 8×8 kernel is Go assembly on amd64, so the
+# default run above never executes the pure-Go path most packages would get
+# on another CPU. -tags purego compiles the assembly out; the cross-compile
+# proves a non-amd64 build still links without it.
+echo "== go test -tags purego ./internal/kernel ./internal/packing ./internal/core ./internal/engine"
+go test -tags purego ./internal/kernel ./internal/packing ./internal/core ./internal/engine
+
+echo "== GOARCH=arm64 go build ./..."
+GOARCH=arm64 go build ./...
+
 # Race gate, two layers: every package runs under -race in -short mode
 # (wall-clock-sensitive tests skip themselves there rather than being
 # silently omitted), then the concurrency-critical packages run their full
