@@ -80,10 +80,10 @@ func runCorpus(args []string, w io.Writer) error {
 
 // renderCorpus prints the epoch's cells as an aligned table.
 func renderCorpus(w io.Writer, e *experiments.CorpusEpoch) {
-	fmt.Fprintf(w, "%-28s %-7s %5s %5s  %9s %9s %9s %7s\n",
+	fmt.Fprintf(w, "%-28s %-10s %5s %5s  %9s %9s %9s %7s\n",
 		"cell", "tier", "reps", "runs", "worst GF", "best GF", "median", "CoV")
 	for _, c := range e.Cells {
-		fmt.Fprintf(w, "%-28s %-7s %5d %5d  %9.3f %9.3f %9.3f %7.3f\n",
+		fmt.Fprintf(w, "%-28s %-10s %5d %5d  %9.3f %9.3f %9.3f %7.3f\n",
 			c.Key(), c.Tier, c.Reps, c.Runs, c.GFLOPS, c.BestGFLOPS, c.MedianGFLOPS, c.CoV)
 	}
 	if len(e.Profiles) > 0 {
@@ -117,8 +117,9 @@ func writeCorpusReport(st *experiments.CorpusStore, storeDir string, w io.Writer
 
 // profileDeltaSection summarizes top pprof frame deltas between the two
 // newest profiled epochs, as a markdown section for the report. Epochs
-// without captured profiles are skipped; fewer than one profiled epoch
-// yields an empty section, one yields absolute top frames.
+// without captured profiles are skipped; no profiled epoch yields an empty
+// section, and a profile with no earlier capture reports its frames against
+// an empty one (absolute values).
 func profileDeltaSection(st *experiments.CorpusStore, history []*experiments.CorpusEpoch) string {
 	var profiled []*experiments.CorpusEpoch
 	for _, e := range history {
@@ -133,32 +134,19 @@ func profileDeltaSection(st *experiments.CorpusStore, history []*experiments.Cor
 	var b strings.Builder
 	cur := profiled[len(profiled)-1]
 	curDir := st.ProfileDir(cur.Seq, cur.GitRev)
-	if len(profiled) == 1 {
-		fmt.Fprintf(&b, "## Profiles (epoch %04d)\n\n", cur.Seq)
-		for _, name := range cur.Profiles {
-			sum, err := experiments.ReadProfileSummary(filepath.Join(curDir, name))
-			if err != nil || len(sum.Frames) == 0 {
-				continue
-			}
-			fmt.Fprintf(&b, "**%s** (%s, %s) top frames:\n\n", name, sum.SampleType, sum.Unit)
-			for _, f := range sum.Top(topN) {
-				fmt.Fprintf(&b, "- `%s` %d\n", f.Name, f.Value)
-			}
-			fmt.Fprintln(&b)
-		}
-		return b.String()
+	prevDir, against := "", "none"
+	if len(profiled) > 1 {
+		prev := profiled[len(profiled)-2]
+		prevDir, against = st.ProfileDir(prev.Seq, prev.GitRev), fmt.Sprintf("%04d", prev.Seq)
 	}
-	prev := profiled[len(profiled)-2]
-	prevDir := st.ProfileDir(prev.Seq, prev.GitRev)
-	fmt.Fprintf(&b, "## Profile deltas (epoch %04d vs %04d)\n\n", cur.Seq, prev.Seq)
+	fmt.Fprintf(&b, "## Profile deltas (epoch %04d vs %s)\n\n", cur.Seq, against)
 	for _, name := range cur.Profiles {
 		curSum, err := experiments.ReadProfileSummary(filepath.Join(curDir, name))
 		if err != nil {
 			continue
 		}
 		prevSum, err := experiments.ReadProfileSummary(filepath.Join(prevDir, name))
-		if err != nil {
-			// No prior capture of this profile: report absolute top frames.
+		if prevDir == "" || err != nil {
 			prevSum = &experiments.ProfileSummary{}
 		}
 		deltas := experiments.DiffProfiles(prevSum, curSum, topN)

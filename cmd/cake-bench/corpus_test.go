@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/benchgate"
 	"repro/internal/experiments"
+	"repro/internal/platform"
 )
 
 func TestRunCorpusMicroAppendsEpochs(t *testing.T) {
@@ -50,7 +51,7 @@ func TestRunCorpusMicroAppendsEpochs(t *testing.T) {
 		t.Fatalf("REPORT.md: %v", err)
 	}
 	for _, want := range []string{"# Corpus trajectory report", "tiny/fresh/f32", "small/resident/f32",
-		"tiny/batch/f32", "small/batch/f32"} {
+		"tiny/batch-32/f32", "tiny/loop-32/f32"} {
 		if !strings.Contains(string(report), want) {
 			t.Fatalf("REPORT.md missing %q:\n%s", want, report)
 		}
@@ -58,38 +59,106 @@ func TestRunCorpusMicroAppendsEpochs(t *testing.T) {
 }
 
 // writeTrendStore fabricates a deterministic two-epoch corpus history (same
-// synthetic host) whose latest small/fresh/f32 value is `latest`.
-func writeTrendStore(t *testing.T, dir string, latest float64) {
+// synthetic host) whose latest small/fresh/f32 value is `latest`. Both
+// epochs carry every invariant's cells over GatedRuns runs with the
+// invariant holding by 10%; edit adjusts the latest epoch's cells.
+func writeTrendStore(t *testing.T, dir string, latest float64, edit ...func(c *experiments.CorpusCell)) {
 	t.Helper()
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	epoch := func(seq int, gflops float64) string {
-		return fmt.Sprintf(`{
-  "schema_version": 2, "artifact": "corpus",
-  "host": {"hostname": "synthetic", "os": "linux", "arch": "amd64", "cores": 4},
-  "seq": %d, "grid": "micro", "quick": true, "protocol": "worst-of-N",
-  "cells": [{"shape": "small", "scenario": "fresh", "dtype": "f32",
-    "m": 8, "k": 320, "n": 320, "tier": "small", "reps": 60, "runs": 3,
-    "gflops": %g, "best_gflops": %g, "median_gflops": %g, "cov": 0.01}]
-}`, seq, gflops, gflops, gflops)
+	runs := func(v float64) []float64 {
+		out := make([]float64, experiments.GatedRuns)
+		for i := range out {
+			out[i] = v
+		}
+		return out
+	}
+	cells := map[string]*experiments.CorpusCell{}
+	var order []string
+	cell := func(key string) *experiments.CorpusCell {
+		if c, ok := cells[key]; ok {
+			return c
+		}
+		id := strings.Split(key, "/")
+		c := &experiments.CorpusCell{Shape: id[0], Scenario: id[1], Dtype: id[2], Runs: experiments.GatedRuns,
+			GFLOPS: 1, BestGFLOPS: 1, MedianGFLOPS: 1, CoV: 0.01,
+			RunRates: runs(100), RunP50: runs(100), RunBWCoV: runs(100)}
+		cells[key] = c
+		order = append(order, key)
+		return c
+	}
+	for _, inv := range benchgate.Invariants {
+		num := cell(inv.Num)
+		if inv.Metric == benchgate.MetricRecords {
+			num.Records = int64(inv.Bound)
+			continue
+		}
+		cell(inv.Den)
+		v := 100 * inv.Bound * 1.1
+		switch {
+		case inv.Metric == benchgate.MetricOverhead:
+			v = 100
+		case inv.Op[0] == '<':
+			v = 100 * inv.Bound / 1.1
+		}
+		switch inv.Metric {
+		case benchgate.MetricP50:
+			num.RunP50 = runs(v)
+		case benchgate.MetricBWCoV:
+			num.RunBWCoV = runs(v)
+		default:
+			num.RunRates = runs(v)
+		}
 	}
 	for seq, g := range map[int]float64{1: 100, 2: latest} {
+		e := experiments.CorpusEpoch{
+			Envelope: experiments.Envelope{SchemaVersion: 2, Artifact: "corpus",
+				Host: platform.Fingerprint{Hostname: "synthetic", OS: "linux", Arch: "amd64", Cores: 4}},
+			Seq: seq, Grid: "micro", Quick: true, Protocol: "worst-of-N",
+			Cells: []experiments.CorpusCell{{Shape: "small", Scenario: "fresh", Dtype: "f32",
+				M: 8, K: 320, N: 320, Tier: "small", Reps: 60, Runs: 3,
+				GFLOPS: g, BestGFLOPS: g, MedianGFLOPS: g, CoV: 0.01}},
+		}
+		for _, key := range order {
+			c := *cells[key]
+			if seq == 2 {
+				for _, f := range edit {
+					f(&c)
+				}
+			}
+			e.Cells = append(e.Cells, c)
+		}
+		data, err := json.Marshal(e)
+		if err != nil {
+			t.Fatal(err)
+		}
 		name := fmt.Sprintf("%04d-synthetic.json", seq)
-		if err := os.WriteFile(filepath.Join(dir, name), []byte(epoch(seq, g)), 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
 }
 
+// trendVerdict returns the trend report's verdict for the small/fresh/f32
+// cell.
+func trendVerdict(t *testing.T, sum benchgate.Summary) benchgate.Verdict {
+	t.Helper()
+	for _, c := range sum.Trend.Cells {
+		if c.Cell == "small/fresh/f32" {
+			return c.Verdict
+		}
+	}
+	t.Fatalf("no small/fresh/f32 trend cell in %+v", sum.Trend)
+	return ""
+}
+
 func TestRunCheckJSONCarriesTrend(t *testing.T) {
-	artifacts := t.TempDir()
-	writeGateArtifacts(t, artifacts, gateGemmJSON, gateTimelineJSON)
 	store := filepath.Join(t.TempDir(), "corpus")
 	writeTrendStore(t, store, 100) // flat history: trend OK
 
 	var buf bytes.Buffer
-	err := runCheck([]string{"-baseline", artifacts, "-candidate", artifacts, "-corpus", store, "-json"}, &buf)
+	err := runCheck([]string{"-corpus", store, "-json"}, &buf)
 	if err != nil {
 		t.Fatalf("check: %v\n%s", err, buf.String())
 	}
@@ -100,22 +169,20 @@ func TestRunCheckJSONCarriesTrend(t *testing.T) {
 	if !sum.OK || sum.Regressions != 0 {
 		t.Fatalf("summary = %+v", sum)
 	}
-	if sum.Trend == nil || len(sum.Trend.Cells) != 1 {
-		t.Fatalf("summary missing trend: %+v", sum.Trend)
+	if sum.Trend == nil {
+		t.Fatal("summary missing trend")
 	}
-	if v := sum.Trend.Cells[0].Verdict; v != benchgate.VerdictOK {
+	if v := trendVerdict(t, sum); v != benchgate.VerdictOK {
 		t.Fatalf("trend verdict = %s, want ok", v)
 	}
 }
 
 func TestRunCheckTrendRegressionGates(t *testing.T) {
-	artifacts := t.TempDir()
-	writeGateArtifacts(t, artifacts, gateGemmJSON, gateTimelineJSON)
 	store := filepath.Join(t.TempDir(), "corpus")
 	writeTrendStore(t, store, 60) // 40% cliff in the history
 
 	var buf bytes.Buffer
-	err := runCheck([]string{"-baseline", artifacts, "-candidate", artifacts, "-corpus", store, "-json"}, &buf)
+	err := runCheck([]string{"-corpus", store, "-json"}, &buf)
 	if err == nil {
 		t.Fatalf("trend regression passed the gate:\n%s", buf.String())
 	}
@@ -126,20 +193,17 @@ func TestRunCheckTrendRegressionGates(t *testing.T) {
 	if sum.OK || sum.Regressions == 0 {
 		t.Fatalf("summary = ok=%v regressions=%d, want failing", sum.OK, sum.Regressions)
 	}
-	if sum.Trend.Cells[0].Verdict != benchgate.VerdictRegressed {
-		t.Fatalf("trend verdict = %s", sum.Trend.Cells[0].Verdict)
+	if v := trendVerdict(t, sum); v != benchgate.VerdictRegressed {
+		t.Fatalf("trend verdict = %s", v)
 	}
 }
 
 func TestRunCheckTrendAdvisoryReportsWithoutGating(t *testing.T) {
-	artifacts := t.TempDir()
-	writeGateArtifacts(t, artifacts, gateGemmJSON, gateTimelineJSON)
 	store := filepath.Join(t.TempDir(), "corpus")
 	writeTrendStore(t, store, 60) // 40% cliff in the history
 
 	var buf bytes.Buffer
-	err := runCheck([]string{"-baseline", artifacts, "-candidate", artifacts,
-		"-corpus", store, "-trend-advisory", "-json"}, &buf)
+	err := runCheck([]string{"-corpus", store, "-trend-advisory", "-json"}, &buf)
 	if err != nil {
 		t.Fatalf("advisory trend regression failed the gate: %v\n%s", err, buf.String())
 	}
@@ -152,8 +216,8 @@ func TestRunCheckTrendAdvisoryReportsWithoutGating(t *testing.T) {
 	}
 	// The verdict itself must survive advisory mode: the report still says
 	// regressed, only the gate ignores it.
-	if sum.Trend.Cells[0].Verdict != benchgate.VerdictRegressed {
-		t.Fatalf("trend verdict = %s, want regressed preserved", sum.Trend.Cells[0].Verdict)
+	if v := trendVerdict(t, sum); v != benchgate.VerdictRegressed {
+		t.Fatalf("trend verdict = %s, want regressed preserved", v)
 	}
 	found := false
 	for _, f := range sum.Findings {
@@ -166,24 +230,6 @@ func TestRunCheckTrendAdvisoryReportsWithoutGating(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("no advisory-prefixed corpus finding in %+v", sum.Findings)
-	}
-}
-
-func TestRunCheckSkipsAbsentCorpusStore(t *testing.T) {
-	artifacts := t.TempDir()
-	writeGateArtifacts(t, artifacts, gateGemmJSON, gateTimelineJSON)
-	var buf bytes.Buffer
-	err := runCheck([]string{"-baseline", artifacts, "-candidate", artifacts,
-		"-corpus", filepath.Join(t.TempDir(), "nowhere"), "-json"}, &buf)
-	if err != nil {
-		t.Fatalf("absent store must not fail the gate: %v", err)
-	}
-	var sum benchgate.Summary
-	if err := json.Unmarshal(buf.Bytes(), &sum); err != nil {
-		t.Fatal(err)
-	}
-	if sum.Trend != nil {
-		t.Fatalf("trend = %+v, want nil without a store", sum.Trend)
 	}
 }
 

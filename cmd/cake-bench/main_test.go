@@ -6,7 +6,9 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
+
+	"repro/internal/benchgate"
+	"repro/internal/experiments"
 )
 
 func TestRunTable2AndFig4(t *testing.T) {
@@ -22,52 +24,30 @@ func TestRunTable2AndFig4(t *testing.T) {
 	}
 }
 
-func TestRunGemmWritesJSON(t *testing.T) {
+func TestRunTraceWritesTrace(t *testing.T) {
 	dir := t.TempDir()
 	var buf bytes.Buffer
-	if err := run("gemm", true, dir, &buf); err != nil {
+	if err := run("trace", true, dir, &buf); err != nil {
 		t.Fatal(err)
 	}
-	out := buf.String()
-	for _, want := range []string{"pipelined", "pipelined+cache", "skewed-small-M", "overlap"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("gemm table missing %q in %q", want, out)
+	for _, want := range []string{"cake", "goto", "CoV", "trace.json"} {
+		if !strings.Contains(buf.String(), want) {
+			t.Fatalf("trace output missing %q in %q", want, buf.String())
 		}
 	}
-	data, err := os.ReadFile(filepath.Join(dir, "BENCH_gemm.json"))
+	data, err := os.ReadFile(filepath.Join(dir, "trace.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{`"gflops"`, `"pack_share"`, `"reused_a_elems"`, `"overlap_nanos"`} {
-		if !strings.Contains(string(data), want) {
-			t.Fatalf("BENCH_gemm.json missing %s", want)
-		}
+	if !strings.Contains(string(data), `"traceEvents"`) {
+		t.Fatal("trace.json is not a Chrome trace")
 	}
-}
-
-func TestRunServeWritesJSON(t *testing.T) {
-	dir := t.TempDir()
-	oldDur, oldClients := serveDur, serveClients
-	serveDur, serveClients = 300*time.Millisecond, 4
-	defer func() { serveDur, serveClients = oldDur, oldClients }()
-	var buf bytes.Buffer
-	if err := run("serve", true, dir, &buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{"engine", "serialized", "tiny", "GEMMs/s", "dispatch A/B"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("serve table missing %q in %q", want, out)
-		}
-	}
-	data, err := os.ReadFile(filepath.Join(dir, "BENCH_serve.json"))
+	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{`"speedup"`, `"gemms_per_sec"`, `"tiny_direct_p50_micros"`, `"client_mix"`} {
-		if !strings.Contains(string(data), want) {
-			t.Fatalf("BENCH_serve.json missing %s", want)
-		}
+	if len(entries) != 1 {
+		t.Fatalf("trace wrote more than trace.json: %v", entries)
 	}
 }
 
@@ -121,46 +101,35 @@ func TestShortName(t *testing.T) {
 	}
 }
 
-func writeGateArtifacts(t *testing.T, dir, gemm, timeline string) {
-	t.Helper()
-	if err := os.WriteFile(filepath.Join(dir, "BENCH_gemm.json"), []byte(gemm), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, "BENCH_bwtimeline.json"), []byte(timeline), 0o644); err != nil {
-		t.Fatal(err)
-	}
-}
-
-const gateGemmJSON = `{"cores":2,"rows":[
-  {"shape":"square-480","mode":"sync","gflops":10},
-  {"shape":"square-480","mode":"pipelined","gflops":12}
-]}`
-
-const gateTimelineJSON = `{"m":32,"k":512,"n":256,"cores":2,
-  "cake":{"executor":"cake","gflops":6,"cov":0.4},
-  "goto":{"executor":"goto","gflops":5,"cov":1.5}}`
-
 func TestRunCheckCandidateSelfComparePasses(t *testing.T) {
-	dir := t.TempDir()
-	writeGateArtifacts(t, dir, gateGemmJSON, gateTimelineJSON)
+	store := filepath.Join(t.TempDir(), "corpus")
+	writeTrendStore(t, store, 100) // the newest epoch repeats the one before it
 	var buf bytes.Buffer
-	if err := runCheck([]string{"-baseline", dir, "-candidate", dir}, &buf); err != nil {
+	if err := runCheck([]string{"-corpus", store}, &buf); err != nil {
 		t.Fatalf("self-compare failed: %v\n%s", err, buf.String())
 	}
-	if !strings.Contains(buf.String(), "benchmark gate: OK") {
-		t.Fatalf("missing OK verdict:\n%s", buf.String())
+	out := buf.String()
+	if !strings.Contains(out, "benchmark gate: OK") {
+		t.Fatalf("missing OK verdict:\n%s", out)
+	}
+	for _, inv := range benchgate.Invariants {
+		if !strings.Contains(out, inv.Name) {
+			t.Fatalf("no verdict for invariant %s:\n%s", inv.Name, out)
+		}
 	}
 }
 
 func TestRunCheckCandidateRegressionFails(t *testing.T) {
-	baseDir, candDir := t.TempDir(), t.TempDir()
-	writeGateArtifacts(t, baseDir, gateGemmJSON, gateTimelineJSON)
-	regressed := strings.Replace(gateGemmJSON, `"mode":"pipelined","gflops":12`, `"mode":"pipelined","gflops":6`, 1)
-	writeGateArtifacts(t, candDir, regressed, gateTimelineJSON)
+	store := filepath.Join(t.TempDir(), "corpus")
+	writeTrendStore(t, store, 100, func(c *experiments.CorpusCell) {
+		if c.Key() == "tiny/batch-32/f32" {
+			c.RunRates = []float64{100, 100, 100, 100, 100} // batched no faster than looped
+		}
+	})
 	var buf bytes.Buffer
-	err := runCheck([]string{"-baseline", baseDir, "-candidate", candDir}, &buf)
+	err := runCheck([]string{"-corpus", store}, &buf)
 	if err == nil {
-		t.Fatalf("halved throughput passed:\n%s", buf.String())
+		t.Fatalf("broken batch invariant passed:\n%s", buf.String())
 	}
 	if !strings.Contains(err.Error(), "regression") || !strings.Contains(buf.String(), "REGRESSION") {
 		t.Fatalf("err = %v, output:\n%s", err, buf.String())
@@ -168,8 +137,10 @@ func TestRunCheckCandidateRegressionFails(t *testing.T) {
 }
 
 func TestRunCheckMissingBaselineErrors(t *testing.T) {
-	if err := runCheck([]string{"-baseline", t.TempDir(), "-candidate", t.TempDir()}, &bytes.Buffer{}); err == nil {
-		t.Fatal("empty baseline dir accepted")
+	for _, dir := range []string{t.TempDir(), filepath.Join(t.TempDir(), "nowhere")} {
+		if err := runCheck([]string{"-corpus", dir}, &bytes.Buffer{}); err == nil {
+			t.Fatalf("store %s without epochs accepted", dir)
+		}
 	}
 }
 

@@ -83,7 +83,7 @@ func smokeConformance(pl *platform.Platform, cores int) error {
 	return nil
 }
 
-// smokeCorpus measures the 2-cell micro grid in-process and publishes the
+// smokeCorpus measures the 4-cell micro grid in-process and publishes the
 // epoch with its trend verdicts, so /debug/corpus.json serves a real
 // document and the cake_corpus metric families are exported. The committed
 // store (results/corpus) provides history when present; the fresh epoch is

@@ -1,135 +1,79 @@
 package benchgate
 
 import (
-	"encoding/json"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
 	"repro/internal/experiments"
 )
 
-func baselineGemm() GemmFile {
-	return GemmFile{Cores: 4, Rows: []experiments.GemmBenchRow{
-		{Shape: "square-480", Mode: "sync", GFLOPS: 10},
-		{Shape: "square-480", Mode: "pipelined", GFLOPS: 12},
-		{Shape: "skew-small-m", Mode: "pipelined", GFLOPS: 8},
-	}}
+// flat is n identical per-run values.
+func flat(v float64) []float64 {
+	return []float64{v, v, v, v, v}
 }
 
-func baselineTimeline() experiments.TraceBenchResult {
-	return experiments.TraceBenchResult{
-		M: 32, K: 512, N: 256, Cores: 4,
-		Cake: experiments.ExecTimeline{Executor: "cake", GFLOPS: 6, CoV: 0.4},
-		Goto: experiments.ExecTimeline{Executor: "goto", GFLOPS: 5, CoV: 1.5},
-	}
-}
-
-func TestCompareGemmIdenticalPasses(t *testing.T) {
-	res := Result{Findings: CompareGemm(baselineGemm(), baselineGemm(), DefaultOptions())}
-	if !res.OK() {
-		t.Fatalf("self-compare regressed: %+v", res.Regressions())
-	}
-	if len(res.Findings) != 3 {
-		t.Fatalf("findings = %d, want one per baseline row", len(res.Findings))
-	}
-}
-
-func TestCompareGemmFlagsLargeDropOnly(t *testing.T) {
-	opt := DefaultOptions()
-	cand := baselineGemm()
-	cand.Rows[1].GFLOPS = 12 * 0.85 // 15% drop: inside the 20% allowance
-	res := Result{Findings: CompareGemm(baselineGemm(), cand, opt)}
-	if !res.OK() {
-		t.Fatalf("15%% drop flagged: %+v", res.Regressions())
-	}
-
-	cand.Rows[1].GFLOPS = 12 * 0.70 // 30% drop: regression
-	res = Result{Findings: CompareGemm(baselineGemm(), cand, opt)}
-	regs := res.Regressions()
-	if len(regs) != 1 || regs[0].Key != "square-480/pipelined" {
-		t.Fatalf("regressions = %+v, want the pipelined square row", regs)
-	}
-}
-
-func TestCompareGemmMissingRowIsRegression(t *testing.T) {
-	cand := baselineGemm()
-	cand.Rows = cand.Rows[:2] // skew row vanished
-	res := Result{Findings: CompareGemm(baselineGemm(), cand, DefaultOptions())}
-	regs := res.Regressions()
-	if len(regs) != 1 || !strings.Contains(regs[0].Detail, "missing") {
-		t.Fatalf("regressions = %+v, want a missing-row finding", regs)
-	}
-}
-
-func TestCompareTimelineCoVGatesCakeOnly(t *testing.T) {
-	opt := DefaultOptions()
-	cand := baselineTimeline()
-	// CAKE CoV beyond base·1.5 + 0.1 = 0.7 regresses the CB property.
-	cand.Cake.CoV = 0.9
-	res := Result{Findings: CompareTimeline(baselineTimeline(), cand, opt)}
-	regs := res.Regressions()
-	if len(regs) != 1 || regs[0].Key != "cake" || regs[0].Metric != "cov" {
-		t.Fatalf("regressions = %+v, want cake cov only", regs)
-	}
-
-	// GOTO's CoV exploding is informational, not a failure.
-	cand = baselineTimeline()
-	cand.Goto.CoV = 50
-	res = Result{Findings: CompareTimeline(baselineTimeline(), cand, opt)}
-	if !res.OK() {
-		t.Fatalf("goto CoV growth failed the gate: %+v", res.Regressions())
-	}
-}
-
-func TestCompareDirsSelfCheckAndSyntheticRegression(t *testing.T) {
-	writeArtifacts := func(t *testing.T, dir string, gemm GemmFile, tl experiments.TraceBenchResult) {
-		t.Helper()
-		gd, _ := json.Marshal(gemm)
-		td, _ := json.Marshal(tl)
-		if err := os.WriteFile(filepath.Join(dir, "BENCH_gemm.json"), gd, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(dir, "BENCH_bwtimeline.json"), td, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	baseDir, candDir := t.TempDir(), t.TempDir()
-	writeArtifacts(t, baseDir, baselineGemm(), baselineTimeline())
-	writeArtifacts(t, candDir, baselineGemm(), baselineTimeline())
-
-	// A directory against itself (and an identical copy) always passes.
-	res, err := CompareDirs(baseDir, baseDir, DefaultOptions())
+// healthyEpoch is a synthetic epoch on host "a" carrying every full-grid
+// cell over five flat runs, with every invariant holding by a wide margin.
+func healthyEpoch(t *testing.T, seq int) *experiments.CorpusEpoch {
+	t.Helper()
+	keys, err := experiments.CorpusKeys("full", false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.OK() {
-		t.Fatalf("self-compare regressed: %+v", res.Regressions())
+	e := &experiments.CorpusEpoch{
+		Envelope: experiments.Envelope{SchemaVersion: experiments.BenchSchemaVersion, Artifact: "corpus", Host: trendHost("a")},
+		Seq:      seq, Grid: "full",
 	}
+	for _, k := range keys {
+		id := strings.Split(k, "/")
+		e.Cells = append(e.Cells, experiments.CorpusCell{
+			Shape: id[0], Scenario: id[1], Dtype: id[2], Runs: 5,
+			GFLOPS: 10, BestGFLOPS: 10.5, MedianGFLOPS: 10.2, CoV: 0.01,
+			RunRates: flat(100), RunP50: flat(10), RunBWCoV: flat(0.2),
+		})
+	}
+	set := func(key string, f func(c *experiments.CorpusCell)) { setCell(t, e, key, f) }
+	set("serve-384/resident-bt/f64", func(c *experiments.CorpusCell) { c.RunRates = flat(300) })
+	set("tiny/batch-32/f32", func(c *experiments.CorpusCell) { c.RunRates = flat(200) })
+	set("mix/recorder-on/f32", func(c *experiments.CorpusCell) { c.Records = 10 })
+	set("mix/engine/f32", func(c *experiments.CorpusCell) { c.RunRates = flat(1000) })
+	set("tiny-mix/direct/f32", func(c *experiments.CorpusCell) { c.RunP50 = flat(5) })
+	set("skewed/trace-goto/f32", func(c *experiments.CorpusCell) { c.RunBWCoV = flat(0.7) })
+	return e
+}
 
-	// Synthetically regress the candidate: throughput halved.
-	bad := baselineGemm()
-	for i := range bad.Rows {
-		bad.Rows[i].GFLOPS /= 2
+// setCell edits one cell of an epoch in place.
+func setCell(t *testing.T, e *experiments.CorpusEpoch, key string, f func(c *experiments.CorpusCell)) {
+	t.Helper()
+	for i := range e.Cells {
+		if e.Cells[i].Key() == key {
+			f(&e.Cells[i])
+			return
+		}
 	}
-	writeArtifacts(t, candDir, bad, baselineTimeline())
-	res, err = CompareDirs(baseDir, candDir, DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.OK() {
-		t.Fatal("halved throughput passed the gate")
-	}
-	if len(res.Regressions()) != 3 {
-		t.Fatalf("regressions = %+v, want all three gemm rows", res.Regressions())
-	}
+	t.Fatalf("no cell %s", key)
+}
 
-	// Missing artifacts are an error, not a silent pass.
-	if _, err := CompareDirs(baseDir, t.TempDir(), DefaultOptions()); err == nil {
-		t.Fatal("empty candidate dir did not error")
+// dropCell removes one cell from an epoch.
+func dropCell(e *experiments.CorpusEpoch, key string) {
+	out := e.Cells[:0]
+	for _, c := range e.Cells {
+		if c.Key() != key {
+			out = append(out, c)
+		}
 	}
+	e.Cells = out
+}
+
+func findingFor(t *testing.T, fs []Finding, key string) Finding {
+	t.Helper()
+	for _, f := range fs {
+		if f.Key == key {
+			return f
+		}
+	}
+	t.Fatalf("no finding for %s in %+v", key, fs)
+	return Finding{}
 }
 
 func TestBest(t *testing.T) {
@@ -164,13 +108,14 @@ func TestFloor(t *testing.T) {
 }
 
 func TestRenderListsVerdicts(t *testing.T) {
-	cand := baselineGemm()
-	cand.Rows[0].GFLOPS = 1
-	res := Result{Findings: CompareGemm(baselineGemm(), cand, DefaultOptions())}
+	e := healthyEpoch(t, 1)
+	dropCell(e, "serve-384/fresh-bt/f64")
+	res := Result{Findings: CheckInvariants(e)}
 	var sb strings.Builder
 	res.Render(&sb)
 	out := sb.String()
-	if !strings.Contains(out, "REGRESSION") || !strings.Contains(out, "square-480/sync") {
+	if !strings.Contains(out, "REGRESSION") || !strings.Contains(out, "resident") ||
+		!strings.Contains(out, "serve-384/fresh-bt/f64 missing") {
 		t.Fatalf("render output missing verdicts:\n%s", out)
 	}
 }

@@ -13,12 +13,16 @@
 // than gated, and
 // only epochs from the same host fingerprint are compared — "DGEMM
 // performance is data-dependent" shows cross-host numbers never transfer.
+// Beside the detectors, two fixed rules judge the latest epoch against the
+// previous same-host one: the throughput floor on FlooredCells and the
+// bandwidth-CoV ceiling on CoVCeilingCell (see invariants.go).
 package benchgate
 
 import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 
@@ -130,7 +134,7 @@ func (r TrendReport) OK() bool { return r.Counts()[VerdictRegressed] == 0 }
 
 // Findings converts the report to gate findings: one per cell, regressed
 // cells failing. This is how `cake-bench check` folds the curve into the
-// same verdict stream as the pairwise artifact gates.
+// same verdict stream as the invariant table.
 func (r TrendReport) Findings() []Finding {
 	out := make([]Finding, 0, len(r.Cells))
 	for _, c := range r.Cells {
@@ -150,33 +154,14 @@ func (r TrendReport) Findings() []Finding {
 }
 
 // AnalyzeTrend judges the latest epoch of a corpus history against the curve
-// behind it. The history must be in store order (oldest first) and
-// non-empty; a single epoch yields all-new-cell verdicts, which is what a
-// freshly seeded trajectory should report.
+// behind it, with opt normally DefaultTrendOptions(). The history must be in
+// store order (oldest first) and non-empty; a single epoch yields
+// all-new-cell verdicts, which is what a freshly seeded trajectory should
+// report.
 func AnalyzeTrend(history []*experiments.CorpusEpoch, opt TrendOptions) (TrendReport, error) {
 	if len(history) == 0 {
 		return TrendReport{}, fmt.Errorf("benchgate: empty corpus history")
 	}
-	def := DefaultTrendOptions()
-	if opt.Window < 1 {
-		opt.Window = def.Window
-	}
-	if opt.MinBand <= 0 {
-		opt.MinBand = def.MinBand
-	}
-	if opt.BandScale <= 0 {
-		opt.BandScale = def.BandScale
-	}
-	if opt.NoisyCoV <= 0 {
-		opt.NoisyCoV = def.NoisyCoV
-	}
-	if opt.SpreadScale <= 0 {
-		opt.SpreadScale = def.SpreadScale
-	}
-	if opt.NoisySpread <= 0 {
-		opt.NoisySpread = def.NoisySpread
-	}
-
 	latest := history[len(history)-1]
 	hostKey := latest.Host.Key()
 	rep := TrendReport{
@@ -197,6 +182,12 @@ func AnalyzeTrend(history []*experiments.CorpusEpoch, opt TrendOptions) (TrendRe
 	}
 	rep.Epochs = len(epochs)
 
+	// The throughput floor and the bandwidth ceiling judge the latest epoch
+	// against the one before it on this host.
+	var prev *experiments.CorpusEpoch
+	if n := len(epochs); n >= 2 {
+		prev = epochs[n-2]
+	}
 	for _, cell := range latest.Cells {
 		key := cell.Key()
 		var hist []float64
@@ -216,7 +207,23 @@ func AnalyzeTrend(history []*experiments.CorpusEpoch, opt TrendOptions) (TrendRe
 			covs = covs[len(covs)-opt.Window-1:]
 		}
 		ct := judgeCell(key, hist, seqs, covs, opt)
+		if prev != nil {
+			if p, ok := prev.CellByKey(key); ok {
+				judgeFloors(&ct, cell, p)
+			}
+		}
 		rep.Cells = append(rep.Cells, ct)
+	}
+	// A floored cell the previous epoch measured and the latest lost is a
+	// regression: the claim went unmeasured.
+	if prev != nil {
+		for _, key := range FlooredCells {
+			_, had := prev.CellByKey(key)
+			if _, has := latest.CellByKey(key); had && !has {
+				rep.Cells = append(rep.Cells, CellTrend{Cell: key, Verdict: VerdictRegressed, Kind: "floor",
+					Detail: fmt.Sprintf("cell missing from epoch %04d", latest.Seq)})
+			}
+		}
 	}
 	sortCells(rep.Cells)
 	return rep, nil
@@ -235,8 +242,8 @@ func judgeCell(key string, hist []float64, seqs []int, covs []float64, opt Trend
 		return ct
 	}
 	prior := hist[:len(hist)-1]
-	ct.Baseline = median(prior)
-	ct.CoV = median(covs)
+	ct.Baseline = experiments.Median(prior)
+	ct.CoV = experiments.Median(covs)
 	// driftBand covers intra-epoch (run-to-run) noise only; the step band
 	// below additionally covers the inter-epoch spread the prior window has
 	// exhibited. The latest point is excluded from the spread estimate so a
@@ -311,6 +318,28 @@ func judgeCell(key string, hist []float64, seqs []int, covs []float64, opt Trend
 	return ct
 }
 
+// judgeFloors applies the throughput floor and the bandwidth ceiling to a
+// cell against the same cell of the previous same-host epoch. Either rule
+// gates even a cell the trend detectors judged noisy.
+func judgeFloors(ct *CellTrend, cur, prev experiments.CorpusCell) {
+	if slices.Contains(FlooredCells, ct.Cell) {
+		if limit := prev.GFLOPS * (1 - FloorDrop); cur.BestGFLOPS < limit {
+			ct.Verdict, ct.Kind = VerdictRegressed, "floor"
+			ct.Detail = fmt.Sprintf("best run %.3f below %.3f, %.0f%% under the previous epoch's worst run %.3f",
+				cur.BestGFLOPS, limit, 100*FloorDrop, prev.GFLOPS)
+			return
+		}
+	}
+	if ct.Cell == CoVCeilingCell && len(cur.RunBWCoV) > 0 && len(prev.RunBWCoV) > 0 {
+		limit := best(prev.RunBWCoV)*(1+CoVSlack) + CoVFloor
+		if got := floor(cur.RunBWCoV); got > limit {
+			ct.Verdict, ct.Kind = VerdictRegressed, "bw-cov"
+			ct.Detail = fmt.Sprintf("best-run bandwidth CoV %.3f above %.3f (previous epoch's worst run %.3f × %.1f + %.2f)",
+				got, limit, best(prev.RunBWCoV), 1+CoVSlack, CoVFloor)
+		}
+	}
+}
+
 // fitSlope is the least-squares slope of vals over epoch index 0..n-1.
 func fitSlope(vals []float64) float64 {
 	n := float64(len(vals))
@@ -351,41 +380,14 @@ func stddev(vals []float64) float64 {
 	return math.Sqrt(ss / (n - 1))
 }
 
-// median of a sample (0 for empty input).
-func median(vals []float64) float64 {
-	if len(vals) == 0 {
-		return 0
-	}
-	s := append([]float64(nil), vals...)
-	sort.Float64s(s)
-	n := len(s)
-	if n%2 == 1 {
-		return s[n/2]
-	}
-	return (s[n/2-1] + s[n/2]) / 2
-}
-
 // verdictRank orders verdicts worst-first for reports.
-func verdictRank(v Verdict) int {
-	switch v {
-	case VerdictRegressed:
-		return 0
-	case VerdictNoisy:
-		return 1
-	case VerdictNewCell:
-		return 2
-	case VerdictOK:
-		return 3
-	default: // improved
-		return 4
-	}
-}
+var verdictRank = map[Verdict]int{VerdictRegressed: 0, VerdictNoisy: 1, VerdictNewCell: 2, VerdictOK: 3, VerdictImproved: 4}
 
 // sortCells orders worst-first: regressions by severity, then noisy, new,
 // ok, improved; ties alphabetically so output is deterministic.
 func sortCells(cells []CellTrend) {
 	sort.Slice(cells, func(i, j int) bool {
-		ri, rj := verdictRank(cells[i].Verdict), verdictRank(cells[j].Verdict)
+		ri, rj := verdictRank[cells[i].Verdict], verdictRank[cells[j].Verdict]
 		if ri != rj {
 			return ri < rj
 		}

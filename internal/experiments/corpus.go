@@ -8,42 +8,48 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"sort"
 	"time"
-	"unsafe"
 
 	"repro/internal/engine"
-	"repro/internal/matrix"
 )
 
-// The performance-trajectory corpus: a declarative shape × scenario × dtype
-// grid run under one schema-versioned envelope, emitted as BENCH_corpus.json
-// and appended as an epoch to the append-only history store
+// The performance-trajectory corpus: a declarative grid of cells run under
+// one schema-versioned envelope, emitted as BENCH_corpus.json and appended
+// as an epoch to the append-only history store
 // (results/corpus/NNNN-<rev>.json). GEMMbench (PAPERS.md) argues GEMM
 // performance claims are only meaningful as a reproducible corpus over such
-// a grid; the trend analyzer in internal/benchgate reads the epoch sequence
-// this package writes.
+// a grid. internal/benchgate reads the epoch sequence this package writes:
+// its invariant table judges paired cells of one epoch, and its trend
+// analyzer judges each cell against its own history.
 
-// CorpusProtocol documents the worst-of-N noise discipline every epoch
-// records in its metadata: scheduler and thermal noise on shared machines is
-// one-sided (it only slows runs down), so the committed per-cell GFLOP/s is
-// the MINIMUM across N runs — a capability floor any healthy future run can
-// beat — while best/median/CoV across the same runs are kept as the cell's
-// noise statistics for the trend analyzer's bands.
-const CorpusProtocol = "worst-of-N: gflops is the minimum across runs (one-sided noise floor); best/median/cov across runs recorded per cell"
+// CorpusProtocol documents the noise discipline every epoch records in its
+// metadata: scheduler and thermal noise on shared machines is one-sided (it
+// only slows runs down), so the committed per-cell GFLOP/s is the MINIMUM
+// across N runs — a capability floor any healthy future run can beat —
+// while best/median/CoV across the same runs are kept as the cell's noise
+// statistics for the trend analyzer's bands. Cells of one probe alternate
+// run for run, so per-run ratios between them see the same host weather.
+const CorpusProtocol = "worst-of-N: gflops is the minimum across runs (one-sided noise floor); best/median/cov across runs recorded per cell; cells of one probe are measured back to back within each run"
+
+// GatedRuns is the least number of runs a probe carrying an invariant or a
+// throughput floor takes, whatever CorpusOptions.Runs says: the paired
+// statistics pick the best or worst of at least this many runs.
+const GatedRuns = 5
 
 // CorpusCell is one grid point's measurement.
 type CorpusCell struct {
-	Shape    string `json:"shape"`    // tiny | small | large | skewed | tall-skinny
-	Scenario string `json:"scenario"` // fresh | resident | serve
+	Shape    string `json:"shape"`    // shape class, e.g. tiny | skewed | mix-tiny
+	Scenario string `json:"scenario"` // what was timed, e.g. fresh | resident-bt | engine
 	Dtype    string `json:"dtype"`    // f32 | f64
 	M        int    `json:"m"`
 	K        int    `json:"k"`
 	N        int    `json:"n"`
-	Tier     string `json:"tier"`              // engine dispatch tier for the shape
+	Tier     string `json:"tier"`              // engine dispatch tier, or the non-engine path timed
 	Workers  int    `json:"workers,omitempty"` // serve scenario: concurrent streams
-	Batch    int    `json:"batch,omitempty"`   // batch scenario: GEMMs per GemmBatch
-	Reps     int    `json:"reps"`              // GEMMs per run
+	Batch    int    `json:"batch,omitempty"`   // batch scenarios: GEMMs per GemmBatch
+	Reps     int    `json:"reps"`              // GEMMs per run (0: time-boxed)
 	Runs     int    `json:"runs"`              // runs in the worst-of-N protocol
 
 	GFLOPS       float64 `json:"gflops"` // worst of runs (the committed value)
@@ -51,6 +57,13 @@ type CorpusCell struct {
 	MedianGFLOPS float64 `json:"median_gflops"`
 	CoV          float64 `json:"cov"`           // across-runs coefficient of variation
 	GemmsPerSec  float64 `json:"gemms_per_sec"` // from the worst run
+
+	// Per-run series in run order; entry r of two cells of one probe was
+	// measured back to back.
+	RunRates []float64 `json:"run_gemms_per_sec,omitempty"`
+	RunP50   []float64 `json:"run_p50_us,omitempty"` // median GEMM latency, latency-probed cells
+	RunBWCoV []float64 `json:"run_bw_cov,omitempty"` // bandwidth-timeline CoV, traced cells
+	Records  int64     `json:"records,omitempty"`    // flight-recorder records committed
 }
 
 // Key identifies the cell across epochs: shape/scenario/dtype.
@@ -84,11 +97,11 @@ func (e *CorpusEpoch) CellByKey(key string) (CorpusCell, bool) {
 // CorpusOptions configures a corpus run.
 type CorpusOptions struct {
 	Cores int
-	Runs  int    // worst-of-N runs per cell (default 3)
-	Grid  string // "full" (default) or "micro" — the 2-cell CI smoke grid
+	Runs  int    // worst-of-N runs per cell (default 3; gated probes take at least GatedRuns)
+	Grid  string // "full" (default) or "micro" — the 4-cell CI smoke grid
 	Quick bool
 	// ProfileDir, when set, captures a CPU and a heap pprof profile per
-	// scenario into that directory (cpu-<scenario>.pprof, heap-<scenario>.pprof).
+	// probe group into that directory (cpu-<group>.pprof, heap-<group>.pprof).
 	ProfileDir string
 }
 
@@ -119,68 +132,138 @@ func corpusShapes(quick bool) []corpusShape {
 	return shapes
 }
 
-// corpusScenarios is the scenario axis crossed with every shape: fresh packs
-// operands every call, resident serves B from pre-packed panels, serve
-// drives the same GEMM from concurrent closed-loop streams through the
-// engine's admission path. The batch scenario (one GemmBatch per timed unit,
-// shared B packed once) is not crossed with the full shape axis — it runs
-// only on the shapes batching targets (see corpusBatchCells).
-var corpusScenarios = []string{"fresh", "resident", "serve"}
-
-// corpusBatchCells is the batch scenario's own (shape index, batch size)
-// axis: the tiny direct tier at batch 32 (the benchgate-floored class) and
-// the small cache-resident tier at batch 8.
-var corpusBatchCells = []struct {
-	shapeIdx int
-	batch    int
-}{
-	{0, 32}, // tiny
-	{1, 8},  // small
-}
-
-// corpusDtypes is the dtype axis.
-var corpusDtypes = []string{"f32", "f64"}
-
-// corpusCellSpec is one expanded grid point before measurement.
-type corpusCellSpec struct {
-	shape    corpusShape
-	scenario string
-	dtype    string
-	batch    int // batch scenario only: GEMMs per GemmBatch
-}
-
-// corpusGrid expands the named grid. "micro" is the 4-cell CI smoke grid
-// (tiny/fresh/f32, small/resident/f32, tiny/batch/f32, small/batch/f32);
-// "full" is the complete scenario×shape×dtype cross product plus the batch
-// cells from corpusBatchCells.
-func corpusGrid(name string, quick bool) ([]corpusCellSpec, error) {
+// corpusGrid expands the named grid. "micro" is the 4-cell CI smoke grid:
+// tiny/fresh/f32, small/resident/f32 and the batch invariant's pair.
+// "full" is the scenario×shape×dtype cross product plus the probes behind
+// each benchgate invariant and throughput floor.
+func corpusGrid(name string, quick bool) ([]probeSpec, error) {
 	shapes := corpusShapes(quick)
+	tiny, small, skewed := shapes[0], shapes[1], shapes[3]
 	switch name {
 	case "", "full":
-		var out []corpusCellSpec
-		for _, sc := range corpusScenarios {
-			for _, sh := range shapes {
-				for _, dt := range corpusDtypes {
-					out = append(out, corpusCellSpec{shape: sh, scenario: sc, dtype: dt})
-				}
-			}
-		}
-		for _, bc := range corpusBatchCells {
-			for _, dt := range corpusDtypes {
-				out = append(out, corpusCellSpec{shape: shapes[bc.shapeIdx], scenario: "batch", dtype: dt, batch: bc.batch})
-			}
-		}
-		return out, nil
 	case "micro":
-		return []corpusCellSpec{
-			{shape: shapes[0], scenario: "fresh", dtype: "f32"},
-			{shape: shapes[1], scenario: "resident", dtype: "f32"},
-			{shape: shapes[0], scenario: "batch", dtype: "f32", batch: corpusBatchCells[0].batch},
-			{shape: shapes[1], scenario: "batch", dtype: "f32", batch: corpusBatchCells[1].batch},
+		return []probeSpec{
+			engineSpec(tiny, "fresh", "f32", 0, false),
+			engineSpec(small, "resident", "f32", 0, false),
+			engineSpec(batchShape(tiny, quick), "batch+loop", "f32", 32, true),
 		}, nil
 	default:
 		return nil, fmt.Errorf("experiments: unknown corpus grid %q (full|micro)", name)
 	}
+
+	// The scenario axis, crossed with every shape and dtype: fresh packs
+	// operands every call, resident serves B from pre-packed panels, serve
+	// drives the same GEMM from concurrent closed-loop streams through the
+	// engine's admission path.
+	var out []probeSpec
+	for _, sc := range []string{"fresh", "resident", "serve"} {
+		for _, sh := range shapes {
+			for _, dt := range []string{"f32", "f64"} {
+				out = append(out, engineSpec(sh, sc, dt, 0, false))
+			}
+		}
+	}
+	// Batched dispatch: every f32 (shape, size) point is floored; tiny×32
+	// is timed against the same GEMMs issued as single requests.
+	for _, sh := range []corpusShape{batchShape(tiny, quick), batchShape(small, quick)} {
+		for _, b := range []int{4, 32, 256} {
+			kind := "batch"
+			if sh.name == "tiny" && b == 32 {
+				kind = "batch+loop"
+			}
+			out = append(out, engineSpec(sh, kind, "f32", b, true))
+		}
+		out = append(out, engineSpec(sh, "batch", "f64", 32, false))
+	}
+	// Resident weights stored transposed (N×K, the linear-layer
+	// convention), each timed against per-call PackBT; serve-384/f64 carries
+	// the resident invariant.
+	scale := 1
+	if quick {
+		scale = 4
+	}
+	for _, rs := range []struct {
+		sh corpusShape
+		dt string
+	}{
+		{corpusShape{"tiny", 8, 24, 24, 2000}, "f32"},
+		{corpusShape{"small", 8, 320, 320, 400}, "f32"},
+		{corpusShape{"serve-384", 8, 384, 384, 240}, "f64"}, // large tier
+		{corpusShape{"batch-576", 48, 576, 576, 60}, "f32"}, // compute-bound contrast
+	} {
+		rs.sh.reps = max(rs.sh.reps/scale, 8)
+		out = append(out, engineSpec(rs.sh, "resident-bt", rs.dt, 0, true))
+	}
+	square := corpusShape{"square", 384, 384, 384, 1}
+	if quick {
+		square.m, square.k, square.n = 192, 192, 192
+	}
+	for _, sh := range []corpusShape{square, skewed} {
+		out = append(out, execSpec(sh, false), execSpec(sh, true))
+	}
+	out = append(out, bandwidthSpec(skewed), serveMixSpec(), tinyABSpec(), obsSpec())
+	return out, nil
+}
+
+// batchShape sets a batch probe's per-run GEMM count: 2048 for tiny and 512
+// for small (a quarter of each under -quick), split into GemmBatch groups.
+func batchShape(sh corpusShape, quick bool) corpusShape {
+	sh.reps = 512
+	if sh.name == "tiny" {
+		sh.reps = 2048
+	}
+	if quick {
+		sh.reps /= 4
+	}
+	return sh
+}
+
+// runSample is one cell's share of one probe run.
+type runSample struct {
+	gemms   int
+	flops   float64 // total work of the run
+	elapsed time.Duration
+	p50     float64 // µs, latency-probed cells
+	bwCoV   float64 // traced cells
+	records int64   // recorder-on cell: records committed so far
+}
+
+// runFn performs one run of a probe, returning one sample per probe cell.
+type runFn func() ([]runSample, error)
+
+// probeEnv is what a probe builder may use: the corpus engine (fixed
+// serve-bench platform model), the host's core count and the grid's size.
+type probeEnv struct {
+	e     *engine.Engine
+	cores int
+	quick bool
+	rng   *rand.Rand
+}
+
+// probeSpec is one measurement unit of the grid: the cells it fills run for
+// run, and a builder that makes the operands and returns the run function
+// plus an optional cleanup.
+type probeSpec struct {
+	group string       // pprof bracket: cpu-<group>.pprof
+	cells []CorpusCell // identity, dims and reps; measurements filled in by RunCorpus
+	gated bool         // carries an invariant or a throughput floor: at least GatedRuns runs
+	build func(*probeEnv) (runFn, func(), error)
+}
+
+// CorpusKeys lists the cell keys a grid produces, in measurement order,
+// without measuring anything.
+func CorpusKeys(grid string, quick bool) ([]string, error) {
+	specs, err := corpusGrid(grid, quick)
+	if err != nil {
+		return nil, err
+	}
+	var keys []string
+	for _, s := range specs {
+		for _, c := range s.cells {
+			keys = append(keys, c.Key())
+		}
+	}
+	return keys, nil
 }
 
 // RunCorpus measures the grid and returns the epoch (Seq unassigned). The
@@ -194,13 +277,12 @@ func RunCorpus(opt CorpusOptions) (*CorpusEpoch, error) {
 	if opt.Runs < 1 {
 		opt.Runs = 3
 	}
-	grid, err := corpusGrid(opt.Grid, opt.Quick)
+	if opt.Grid == "" {
+		opt.Grid = "full"
+	}
+	specs, err := corpusGrid(opt.Grid, opt.Quick)
 	if err != nil {
 		return nil, err
-	}
-	gridName := opt.Grid
-	if gridName == "" {
-		gridName = "full"
 	}
 	e, err := engine.NewEngine(engine.Options{Platform: servePlatform(opt.Cores), Name: "corpus"})
 	if err != nil {
@@ -210,41 +292,34 @@ func RunCorpus(opt CorpusOptions) (*CorpusEpoch, error) {
 
 	epoch := &CorpusEpoch{
 		Envelope: NewEnvelope("corpus"),
-		Grid:     gridName,
+		Grid:     opt.Grid,
 		Quick:    opt.Quick,
 		Protocol: CorpusProtocol,
 	}
-	rng := rand.New(rand.NewSource(23))
+	env := &probeEnv{e: e, cores: opt.Cores, quick: opt.Quick, rng: rand.New(rand.NewSource(23))}
 
-	// Group by scenario so the optional pprof capture brackets one scenario's
-	// cells per profile file.
-	byScenario := map[string][]corpusCellSpec{}
+	// Group by profile bracket so the optional pprof capture brackets one
+	// group's probes per profile file.
+	byGroup := map[string][]probeSpec{}
 	var order []string
-	for _, spec := range grid {
-		if _, seen := byScenario[spec.scenario]; !seen {
-			order = append(order, spec.scenario)
+	for _, s := range specs {
+		if _, seen := byGroup[s.group]; !seen {
+			order = append(order, s.group)
 		}
-		byScenario[spec.scenario] = append(byScenario[spec.scenario], spec)
+		byGroup[s.group] = append(byGroup[s.group], s)
 	}
-	for _, scenario := range order {
-		profs, err := startScenarioProfiles(opt.ProfileDir, scenario)
+	for _, group := range order {
+		profs, err := startScenarioProfiles(opt.ProfileDir, group)
 		if err != nil {
 			return nil, err
 		}
-		for _, spec := range byScenario[scenario] {
-			var cell CorpusCell
-			switch spec.dtype {
-			case "f64":
-				cell, err = corpusCell[float64](e, spec, opt.Runs, opt.Cores, rng)
-			default:
-				cell, err = corpusCell[float32](e, spec, opt.Runs, opt.Cores, rng)
-			}
+		for _, spec := range byGroup[group] {
+			cells, err := measureProbe(env, spec, opt.Runs)
 			if err != nil {
 				profs.abort()
-				return nil, fmt.Errorf("experiments: corpus cell %s/%s/%s: %w",
-					spec.shape.name, spec.scenario, spec.dtype, err)
+				return nil, fmt.Errorf("experiments: corpus probe %s: %w", spec.cells[0].Key(), err)
 			}
-			epoch.Cells = append(epoch.Cells, cell)
+			epoch.Cells = append(epoch.Cells, cells...)
 		}
 		files, err := profs.finish()
 		if err != nil {
@@ -255,152 +330,79 @@ func RunCorpus(opt CorpusOptions) (*CorpusEpoch, error) {
 	return epoch, nil
 }
 
-// corpusCell measures one grid point under the worst-of-N protocol.
-func corpusCell[T matrix.Scalar](e *engine.Engine, spec corpusCellSpec, runs, cores int, rng *rand.Rand) (CorpusCell, error) {
-	sh := spec.shape
-	var zero T
-	elem := int(unsafe.Sizeof(zero))
-	cell := CorpusCell{
-		Shape: sh.name, Scenario: spec.scenario, Dtype: spec.dtype,
-		M: sh.m, K: sh.k, N: sh.n,
-		Tier: e.TierFor(sh.m, sh.k, sh.n, elem).String(),
-		Reps: sh.reps, Runs: runs,
+// measureProbe builds one probe, warms it with a discarded run, then takes
+// the protocol's runs and summarizes each cell.
+func measureProbe(env *probeEnv, spec probeSpec, runs int) ([]CorpusCell, error) {
+	if spec.gated && runs < GatedRuns {
+		runs = GatedRuns
 	}
-	a := matrix.New[T](sh.m, sh.k)
-	b := matrix.New[T](sh.k, sh.n)
-	a.Randomize(rng)
-	b.Randomize(rng)
-	flops := matrix.GemmFlops(sh.m, sh.n, sh.k)
-
-	var do func() error // one timed unit; gemms() GEMMs per unit
-	gemms := sh.reps
-	switch spec.scenario {
-	case "fresh":
-		c := matrix.New[T](sh.m, sh.n)
-		do = func() error {
-			for i := 0; i < sh.reps; i++ {
-				if _, err := engine.Gemm(e, c, a, b); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
-	case "resident":
-		id := fmt.Sprintf("corpus-%s", cell.Key())
-		if err := engine.RegisterB(e, id, b); err != nil {
-			return cell, err
-		}
-		defer e.ReleaseB(id)
-		c := matrix.New[T](sh.m, sh.n)
-		do = func() error {
-			for i := 0; i < sh.reps; i++ {
-				if _, err := engine.GemmResident(e, c, a, id); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
-	case "batch":
-		// One GemmBatch per group: distinct activations against one shared
-		// weight matrix (the same *Matrix repeated, so the batch path packs
-		// it once and serves every call from the packed panels).
-		batch := spec.batch
-		cell.Batch = batch
-		groups := sh.reps / batch
-		if groups < 1 {
-			groups = 1
-		}
-		gemms = groups * batch
-		cell.Reps = gemms
-		as := make([]*matrix.Matrix[T], batch)
-		bs := make([]*matrix.Matrix[T], batch)
-		cs := make([]*matrix.Matrix[T], batch)
-		for i := range as {
-			as[i] = matrix.New[T](sh.m, sh.k)
-			as[i].Randomize(rng)
-			bs[i] = b
-			cs[i] = matrix.New[T](sh.m, sh.n)
-		}
-		do = func() error {
-			for g := 0; g < groups; g++ {
-				if _, err := engine.GemmBatch(e, cs, as, bs); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
-	case "serve":
-		workers := cores
-		if workers < 2 {
-			workers = 2
-		}
-		if workers > 4 {
-			workers = 4
-		}
-		cell.Workers = workers
-		gemms = sh.reps * workers
-		outs := make([]*matrix.Matrix[T], workers)
-		for i := range outs {
-			outs[i] = matrix.New[T](sh.m, sh.n)
-		}
-		do = func() error {
-			errCh := make(chan error, workers)
-			for wk := 0; wk < workers; wk++ {
-				go func(c *matrix.Matrix[T]) {
-					for i := 0; i < sh.reps; i++ {
-						if _, err := engine.GemmScaledFor(e, "corpus", c, a, b, false, false, 1, 0); err != nil {
-							errCh <- err
-							return
-						}
-					}
-					errCh <- nil
-				}(outs[wk])
-			}
-			for wk := 0; wk < workers; wk++ {
-				if err := <-errCh; err != nil {
-					return err
-				}
-			}
-			return nil
-		}
-	default:
-		return cell, fmt.Errorf("unknown scenario %q", spec.scenario)
+	run, cleanup, err := spec.build(env)
+	if err != nil {
+		return nil, err
 	}
-
-	if err := do(); err != nil { // warm operands, lease pools, resident panels
-		return cell, err
+	if cleanup != nil {
+		defer cleanup()
 	}
-	samples := make([]float64, 0, runs)
-	worstElapsed := time.Duration(0)
+	if _, err := run(); err != nil { // warm operands, lease pools, resident panels
+		return nil, err
+	}
+	samples := make([][]runSample, len(spec.cells))
 	for r := 0; r < runs; r++ {
-		t0 := time.Now()
-		if err := do(); err != nil {
-			return cell, err
+		got, err := run()
+		if err != nil {
+			return nil, err
 		}
-		el := time.Since(t0)
-		samples = append(samples, flops*float64(gemms)/float64(el.Nanoseconds()))
-		if el > worstElapsed {
-			worstElapsed = el
+		for i := range spec.cells {
+			samples[i] = append(samples[i], got[i])
 		}
 	}
-	cell.GFLOPS = minF(samples)
-	cell.BestGFLOPS = maxF(samples)
-	cell.MedianGFLOPS = medianF(samples)
-	cell.CoV = covF(samples)
-	if worstElapsed > 0 {
-		cell.GemmsPerSec = float64(gemms) / worstElapsed.Seconds()
+	cells := make([]CorpusCell, len(spec.cells))
+	for i, c := range spec.cells {
+		c.Runs = runs
+		if c.Tier == "" {
+			elem := 4
+			if c.Dtype == "f64" {
+				elem = 8
+			}
+			c.Tier = env.e.TierFor(c.M, c.K, c.N, elem).String()
+		}
+		summarize(&c, samples[i])
+		cells[i] = c
 	}
-	return cell, nil
+	return cells, nil
 }
 
-// scenarioProfiles brackets one scenario's cells with pprof capture.
+// summarize fills a cell's statistics from its per-run samples (at least
+// one).
+func summarize(c *CorpusCell, runs []runSample) {
+	gflops := make([]float64, len(runs))
+	for i, s := range runs {
+		ns := float64(max(s.elapsed.Nanoseconds(), 1))
+		gflops[i] = s.flops / ns
+		c.RunRates = append(c.RunRates, float64(s.gemms)/ns*1e9)
+		if s.p50 > 0 {
+			c.RunP50 = append(c.RunP50, s.p50)
+		}
+		if s.bwCoV > 0 {
+			c.RunBWCoV = append(c.RunBWCoV, s.bwCoV)
+		}
+		c.Records = max(c.Records, s.records)
+	}
+	c.GFLOPS = slices.Min(gflops)
+	c.BestGFLOPS = slices.Max(gflops)
+	c.MedianGFLOPS = Median(gflops)
+	c.CoV = covF(gflops)
+	c.GemmsPerSec = slices.Min(c.RunRates)
+}
+
+// scenarioProfiles brackets one group's probes with pprof capture.
 type scenarioProfiles struct {
 	cpuFile  *os.File
 	heapPath string
 	names    []string
 }
 
-// startScenarioProfiles begins CPU profiling for a scenario when dir is
+// startScenarioProfiles begins CPU profiling for a group when dir is
 // non-empty; finish stops it and snapshots the heap.
 func startScenarioProfiles(dir, scenario string) (*scenarioProfiles, error) {
 	if dir == "" {
@@ -460,33 +462,8 @@ func (p *scenarioProfiles) abort() {
 	}
 }
 
-func minF(vals []float64) float64 {
-	if len(vals) == 0 {
-		return 0
-	}
-	m := vals[0]
-	for _, v := range vals[1:] {
-		if v < m {
-			m = v
-		}
-	}
-	return m
-}
-
-func maxF(vals []float64) float64 {
-	if len(vals) == 0 {
-		return 0
-	}
-	m := vals[0]
-	for _, v := range vals[1:] {
-		if v > m {
-			m = v
-		}
-	}
-	return m
-}
-
-func medianF(vals []float64) float64 {
+// Median of a sample (0 for empty input).
+func Median(vals []float64) float64 {
 	if len(vals) == 0 {
 		return 0
 	}

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -26,7 +27,7 @@ func TestRunCorpusMicroGrid(t *testing.T) {
 		t.Fatalf("micro grid cells = %d, want 4", len(epoch.Cells))
 	}
 	wantKeys := map[string]bool{"tiny/fresh/f32": false, "small/resident/f32": false,
-		"tiny/batch/f32": false, "small/batch/f32": false}
+		"tiny/batch-32/f32": false, "tiny/loop-32/f32": false}
 	for _, c := range epoch.Cells {
 		if _, ok := wantKeys[c.Key()]; !ok {
 			t.Fatalf("unexpected cell %s", c.Key())
@@ -41,6 +42,22 @@ func TestRunCorpusMicroGrid(t *testing.T) {
 		if c.Tier == "" {
 			t.Fatalf("cell %s missing tier", c.Key())
 		}
+		if len(c.RunRates) != c.Runs {
+			t.Fatalf("cell %s has %d per-run rates for %d runs", c.Key(), len(c.RunRates), c.Runs)
+		}
+	}
+	// The batch pair carries an invariant: it takes GatedRuns runs even
+	// when the grid asks for one, and both sides see the same GEMM count.
+	batch, _ := epoch.CellByKey("tiny/batch-32/f32")
+	loop, _ := epoch.CellByKey("tiny/loop-32/f32")
+	if batch.Runs != GatedRuns || loop.Runs != GatedRuns {
+		t.Fatalf("batch pair runs = %d/%d, want %d", batch.Runs, loop.Runs, GatedRuns)
+	}
+	if batch.Reps != loop.Reps || batch.Batch != 32 {
+		t.Fatalf("batch pair reps %d/%d, batch %d", batch.Reps, loop.Reps, batch.Batch)
+	}
+	if fresh, _ := epoch.CellByKey("tiny/fresh/f32"); fresh.Runs != 1 {
+		t.Fatalf("ungated cell runs = %d, want 1", fresh.Runs)
 	}
 	for k, seen := range wantKeys {
 		if !seen {
@@ -93,7 +110,7 @@ func TestCorpusStoreRoundTrip(t *testing.T) {
 		t.Fatalf("round-trip mismatch: got seq=%d grid=%q cells=%d", got.Seq, got.Grid, len(got.Cells))
 	}
 	for i, c := range want.Cells {
-		if loaded[0].Cells[i] != c {
+		if !reflect.DeepEqual(loaded[0].Cells[i], c) {
 			t.Fatalf("cell %d changed in round-trip:\n got %+v\nwant %+v", i, loaded[0].Cells[i], c)
 		}
 	}
@@ -116,12 +133,8 @@ func TestCorpusStoreRoundTrip(t *testing.T) {
 	if len(all) != 2 || all[0].Seq != 1 || all[1].Seq != 2 {
 		t.Fatalf("store order wrong: %d epochs", len(all))
 	}
-	latest, err := st.Latest()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if latest.Seq != 2 {
-		t.Fatalf("Latest seq = %d, want 2", latest.Seq)
+	if latest := all[len(all)-1]; latest.Seq != 2 {
+		t.Fatalf("newest seq = %d, want 2", latest.Seq)
 	}
 }
 
@@ -130,10 +143,6 @@ func TestCorpusStoreEmptyAndJunk(t *testing.T) {
 	eps, err := st.Load()
 	if err != nil || len(eps) != 0 {
 		t.Fatalf("missing dir: eps=%d err=%v", len(eps), err)
-	}
-	latest, err := st.Latest()
-	if err != nil || latest != nil {
-		t.Fatalf("missing dir Latest: %v %v", latest, err)
 	}
 
 	// Non-epoch files (REPORT.md, profile dirs) are ignored by Load.
@@ -195,6 +204,33 @@ func TestCorpusEnvelopeBackCompat(t *testing.T) {
 func TestCorpusUnknownGrid(t *testing.T) {
 	if _, err := RunCorpus(CorpusOptions{Grid: "nope"}); err == nil {
 		t.Fatal("want error for unknown grid")
+	}
+}
+
+// TestCorpusFullGridKeys pins the full grid's shape: every key unique, the
+// classic shape×scenario×dtype cross product intact, and the probes behind
+// the benchgate invariants present.
+func TestCorpusFullGridKeys(t *testing.T) {
+	keys, err := CorpusKeys("full", false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := map[string]bool{}
+	for _, k := range keys {
+		if seen[k] {
+			t.Fatalf("duplicate cell key %s", k)
+		}
+		seen[k] = true
+	}
+	for _, k := range []string{"large/fresh/f64", "tall-skinny/serve/f32", "serve-384/resident-bt/f64",
+		"serve-384/fresh-bt/f64", "skewed/trace-cake/f32", "mix/serialized/f32", "tiny-mix/direct/f32",
+		"mix/recorder-off/f32", "square/exec-cache/f32", "small/batch-256/f32"} {
+		if !seen[k] {
+			t.Fatalf("full grid lacks %s", k)
+		}
+	}
+	if len(keys) != 62 {
+		t.Fatalf("full grid has %d cells, want 62", len(keys))
 	}
 }
 

@@ -25,11 +25,14 @@ func OpenCorpusStore(dir string) *CorpusStore { return &CorpusStore{Dir: dir} }
 // epochFileRe matches epoch file names: 4-digit sequence, dash, revision tag.
 var epochFileRe = regexp.MustCompile(`^(\d{4})-([0-9a-zA-Z]+)\.json$`)
 
-// epochs lists (seq, filename) pairs in sequence order.
-func (s *CorpusStore) epochFiles() ([]struct {
+// epochFile is one epoch file of the store.
+type epochFile struct {
 	seq  int
 	name string
-}, error) {
+}
+
+// epochFiles lists the store's epoch files in sequence order.
+func (s *CorpusStore) epochFiles() ([]epochFile, error) {
 	entries, err := os.ReadDir(s.Dir)
 	if os.IsNotExist(err) {
 		return nil, nil
@@ -37,10 +40,7 @@ func (s *CorpusStore) epochFiles() ([]struct {
 	if err != nil {
 		return nil, err
 	}
-	var out []struct {
-		seq  int
-		name string
-	}
+	var out []epochFile
 	for _, ent := range entries {
 		if ent.IsDir() {
 			continue
@@ -53,10 +53,7 @@ func (s *CorpusStore) epochFiles() ([]struct {
 		if err != nil || seq < 1 {
 			continue
 		}
-		out = append(out, struct {
-			seq  int
-			name string
-		}{seq, ent.Name()})
+		out = append(out, epochFile{seq, ent.Name()})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].seq < out[j].seq })
 	return out, nil
@@ -67,13 +64,9 @@ func (s *CorpusStore) epochFiles() ([]struct {
 // filled in place so callers can emit the root BENCH_corpus.json with the
 // same identity the store recorded.
 func (s *CorpusStore) Append(e *CorpusEpoch) (string, error) {
-	files, err := s.epochFiles()
+	next, err := s.nextSeq()
 	if err != nil {
 		return "", err
-	}
-	next := 1
-	if len(files) > 0 {
-		next = files[len(files)-1].seq + 1
 	}
 	if next > 9999 {
 		return "", fmt.Errorf("experiments: corpus store %s: sequence space exhausted", s.Dir)
@@ -82,7 +75,7 @@ func (s *CorpusStore) Append(e *CorpusEpoch) (string, error) {
 		return "", err
 	}
 	e.Seq = next
-	path := filepath.Join(s.Dir, s.epochName(next, e.GitRev))
+	path := filepath.Join(s.Dir, fmt.Sprintf("%04d-%s.json", next, ShortRev(e.GitRev)))
 	data, err := json.MarshalIndent(e, "", "  ")
 	if err != nil {
 		return "", err
@@ -91,11 +84,6 @@ func (s *CorpusStore) Append(e *CorpusEpoch) (string, error) {
 		return "", err
 	}
 	return path, nil
-}
-
-// epochName renders an epoch file name for a sequence number and revision.
-func (s *CorpusStore) epochName(seq int, rev string) string {
-	return fmt.Sprintf("%04d-%s.json", seq, ShortRev(rev))
 }
 
 // ProfileDir returns the directory an epoch's pprof profiles live in
@@ -108,15 +96,17 @@ func (s *CorpusStore) ProfileDir(seq int, rev string) string {
 // NextProfileDir is the profile directory the NEXT Append will own — usable
 // before the epoch is written so the runner can capture profiles into it.
 func (s *CorpusStore) NextProfileDir(rev string) (string, error) {
+	next, err := s.nextSeq()
+	return s.ProfileDir(next, rev), err
+}
+
+// nextSeq is the sequence number the next Append assigns.
+func (s *CorpusStore) nextSeq() (int, error) {
 	files, err := s.epochFiles()
-	if err != nil {
-		return "", err
+	if err != nil || len(files) == 0 {
+		return 1, err
 	}
-	next := 1
-	if len(files) > 0 {
-		next = files[len(files)-1].seq + 1
-	}
-	return s.ProfileDir(next, rev), nil
+	return files[len(files)-1].seq + 1, nil
 }
 
 // Load reads every epoch in sequence order (oldest first).
@@ -137,15 +127,6 @@ func (s *CorpusStore) Load() ([]*CorpusEpoch, error) {
 		out = append(out, e)
 	}
 	return out, nil
-}
-
-// Latest returns the newest epoch, or nil when the store is empty.
-func (s *CorpusStore) Latest() (*CorpusEpoch, error) {
-	all, err := s.Load()
-	if err != nil || len(all) == 0 {
-		return nil, err
-	}
-	return all[len(all)-1], nil
 }
 
 func (s *CorpusStore) loadFile(path string) (*CorpusEpoch, error) {

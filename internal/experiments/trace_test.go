@@ -8,52 +8,55 @@ import (
 	"repro/internal/obs"
 )
 
-// TestTraceBenchAcceptance is the PR's acceptance check: CAKE and GOTO run
-// the same skewed shape with tracing enabled, the exported trace must be
-// valid Chrome Trace Event JSON with pack and compute spans on distinct
-// worker lanes, and CAKE's bandwidth timeline must be flatter (lower
+// TestTraceBenchAcceptance runs the bandwidth cells' traced pair — CAKE and
+// GOTO on the same skewed shape — and checks what `cake-bench trace`
+// exports and the bandwidth invariant relies on: the trace is valid Chrome
+// Trace Event JSON with pack and compute spans on distinct worker lanes, no
+// span was dropped, and CAKE's bandwidth timeline is flatter (lower
 // coefficient of variation) than GOTO's — the empirical §3
 // constant-bandwidth property. Scheduler noise can flip a single CoV
 // comparison on a loaded machine, so the run retries a couple of times and
 // fails only if GOTO never looks spikier.
 func TestTraceBenchAcceptance(t *testing.T) {
 	if testing.Short() {
-		t.Skip("trace bench runs full GEMMs")
+		t.Skip("trace probe runs full GEMMs")
 	}
-	const cores = 4
-	var res *TraceBenchResult
-	var err error
+	p, err := NewBandwidthPair(4, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	if _, _, err := p.Run(); err != nil { // warm, as the corpus probe does
+		t.Fatal(err)
+	}
+	var cake, gotoTL Timeline
 	covOK := false
 	for attempt := 0; attempt < 3 && !covOK; attempt++ {
-		res, err = TraceBench(cores, true)
-		if err != nil {
-			t.Fatalf("TraceBench: %v", err)
+		if cake, gotoTL, err = p.Run(); err != nil {
+			t.Fatal(err)
 		}
-		covOK = res.Cake.CoV < res.Goto.CoV
+		covOK = cake.CoV < gotoTL.CoV
 		if !covOK {
-			t.Logf("attempt %d: cake CoV %.3f not below goto CoV %.3f, retrying",
-				attempt, res.Cake.CoV, res.Goto.CoV)
+			t.Logf("attempt %d: cake CoV %.3f not below goto CoV %.3f, retrying", attempt, cake.CoV, gotoTL.CoV)
 		}
 	}
 	if !covOK {
 		t.Errorf("CAKE bandwidth CoV %.3f never fell below GOTO's %.3f: constant-bandwidth property not visible",
-			res.Cake.CoV, res.Goto.CoV)
+			cake.CoV, gotoTL.CoV)
 	}
-	t.Logf("cake: %.2f GB/s mean, %.2f peak, CoV %.3f over %d spans", res.Cake.MeanGBps, res.Cake.PeakGBps, res.Cake.CoV, res.Cake.Spans)
-	t.Logf("goto: %.2f GB/s mean, %.2f peak, CoV %.3f over %d spans", res.Goto.MeanGBps, res.Goto.PeakGBps, res.Goto.CoV, res.Goto.Spans)
-
-	if res.Cake.Spans == 0 || res.Goto.Spans == 0 {
-		t.Fatalf("empty trace: cake %d spans, goto %d", res.Cake.Spans, res.Goto.Spans)
-	}
-	if res.Cake.Dropped != 0 || res.Goto.Dropped != 0 {
-		t.Fatalf("dropped spans: cake %d, goto %d", res.Cake.Dropped, res.Goto.Dropped)
+	for _, tl := range []Timeline{cake, gotoTL} {
+		t.Logf("%s: %.2f GB/s mean, %.2f peak, CoV %.3f over %d spans", tl.Executor, tl.MeanGBps, tl.PeakGBps, tl.CoV, tl.Spans)
+		if tl.Spans == 0 {
+			t.Fatalf("%s: empty trace", tl.Executor)
+		}
+		if tl.Dropped != 0 {
+			t.Fatalf("%s: %d dropped spans", tl.Executor, tl.Dropped)
+		}
 	}
 
 	// Export exactly as cake-bench trace does and validate the JSON.
 	var buf bytes.Buffer
-	err = obs.WriteChromeTrace(&buf,
-		obs.Process{Name: "cake", Rec: res.CakeRec},
-		obs.Process{Name: "goto", Rec: res.GotoRec})
+	err = obs.WriteChromeTrace(&buf, obs.Process{Name: "cake", Rec: cake.Rec}, obs.Process{Name: "goto", Rec: gotoTL.Rec})
 	if err != nil {
 		t.Fatalf("WriteChromeTrace: %v", err)
 	}
@@ -97,19 +100,5 @@ func TestTraceBenchAcceptance(t *testing.T) {
 		if len(lanes) < 2 {
 			t.Fatalf("%s: all spans on a single worker lane %v", name, lanes)
 		}
-	}
-
-	// The serialisable result must round-trip: it is what cake-bench writes
-	// to BENCH_bwtimeline.json.
-	blob, err := json.Marshal(res)
-	if err != nil {
-		t.Fatalf("marshal result: %v", err)
-	}
-	var back TraceBenchResult
-	if err := json.Unmarshal(blob, &back); err != nil {
-		t.Fatalf("round-trip: %v", err)
-	}
-	if back.Cake.Executor != "cake" || len(back.Cake.GBperS) != len(res.Cake.GBperS) {
-		t.Fatalf("round-trip lost data: %+v", back.Cake)
 	}
 }

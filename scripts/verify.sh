@@ -70,34 +70,29 @@ go test -race -short ./...
 echo "== go test -race ./internal/pool ./internal/core ./internal/obs ./internal/engine ./internal/tenant"
 go test -race ./internal/pool ./internal/core ./internal/obs ./internal/engine ./internal/tenant
 
-# Resident-serving smoke: the pack-bypass benchmark must run end to end and
-# produce a well-formed BENCH_resident.json (the artifact the gate below
-# judges). Quick mode keeps it to a fraction of a second.
-echo "== cake-bench -quick resident"
-RESIDENT_TMP=$(mktemp -d)
-go run ./cmd/cake-bench -quick -csv "$RESIDENT_TMP" resident
-rm -rf "$RESIDENT_TMP"
+# Corpus smoke: the 4-cell micro grid (including the batch invariant's
+# paired cells) must run end to end and append a well-formed epoch to a
+# throwaway store; the committed results/corpus trajectory is never touched
+# here.
+echo "== cake-bench corpus -quick -grid micro (throwaway store)"
+CORPUS_TMP=$(mktemp -d)
+go run ./cmd/cake-bench corpus -quick -grid micro -runs 1 \
+	-store "$CORPUS_TMP/store" -out "$CORPUS_TMP/BENCH_corpus.json" -report
+ls "$CORPUS_TMP"/store/0001-*.json >/dev/null
+rm -rf "$CORPUS_TMP"
 
-# Batched-dispatch smoke: the one-lease batch benchmark must run end to end
-# and produce a well-formed BENCH_batch.json (the artifact CompareBatch
-# gates). Quick mode keeps it fast.
-echo "== cake-bench -quick batch"
-BATCH_TMP=$(mktemp -d)
-go run ./cmd/cake-bench -quick -csv "$BATCH_TMP" batch
-rm -rf "$BATCH_TMP"
-
-# Deterministic self-check of the benchmark regression gate: the committed
-# baseline compared against itself must always pass, and the machine-readable
-# summary must say so. Catches artifact-format drift without benchmarking the
-# (noisy) CI host. The committed corpus history feeds the trend verdicts as
-# ADVISORY findings only: on a different host its cells judge as new-cell,
-# and on the capture host they re-judge the committed epochs under whatever
-# measurement weather recorded them — either way they describe the history,
-# not the code under test, so they must not flip this deterministic gate.
-# Gate on trend deliberately with a plain `cake-bench check` on a quiet host.
-echo "== cake-bench check -candidate results/baseline -trend-advisory -json"
+# The benchmark gate on the committed corpus: every invariant must hold on
+# the newest committed epoch (a deterministic check of recorded data, not a
+# fresh measurement of this host), and the machine-readable summary must
+# say so. The trend verdicts are ADVISORY here: on a different host the
+# cells judge as new-cell, and on the capture host they re-judge the
+# committed epochs under whatever measurement weather recorded them —
+# either way they describe the history, not the code under test. Gate on
+# trend deliberately with a plain `cake-bench check` after appending a
+# fresh epoch on a quiet host.
+echo "== cake-bench check -trend-advisory -json"
 CHECK_OUT=$(mktemp)
-go run ./cmd/cake-bench check -candidate results/baseline -trend-advisory -json >"$CHECK_OUT"
+go run ./cmd/cake-bench check -trend-advisory -json >"$CHECK_OUT"
 if ! grep -q '"ok": true' "$CHECK_OUT"; then
 	echo "verify: check -json did not report ok:" >&2
 	cat "$CHECK_OUT" >&2
@@ -105,15 +100,5 @@ if ! grep -q '"ok": true' "$CHECK_OUT"; then
 	exit 1
 fi
 rm -f "$CHECK_OUT"
-
-# Corpus micro smoke: the 4-cell grid must run end to end and append a
-# well-formed epoch to a throwaway store (the committed results/corpus
-# trajectory is never touched here).
-echo "== cake-bench corpus -quick -grid micro (throwaway store)"
-CORPUS_TMP=$(mktemp -d)
-go run ./cmd/cake-bench corpus -quick -grid micro -runs 1 \
-	-store "$CORPUS_TMP/store" -out "$CORPUS_TMP/BENCH_corpus.json" -report
-ls "$CORPUS_TMP"/store/0001-*.json >/dev/null
-rm -rf "$CORPUS_TMP"
 
 echo "verify: OK"
